@@ -4,7 +4,7 @@ Subcommands: spectrum, basis, gpoly, straighten, hooks, tmatrix, verify.
 Output is deterministic: fixed key order, rationals as "numerator/denominator"
 strings, monomials as sorted [variable, exponent] pairs, generator products
 as [degree, length] pairs in basis order.  Exit codes: 0 success, 1
-verification failure, 2 usage or resource error.
+verification or internal consistency failure, 2 usage or resource error.
 """
 
 from __future__ import annotations
@@ -426,13 +426,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     envelope = {"command": args.command, "params": _params_of(args), "status": "ok"}
     try:
         result, human, csv_text = args.run(args)
-    except UsageError as e:
+    except (UsageError, ConsistencyError) as e:
         if args.json:
             envelope.update(status="fail", error=str(e))
             print(json.dumps(envelope, indent=2))
         else:
             print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(e, UsageError) else EXIT_FAIL
     if args.csv:
         if csv_text is None:
             print("error: --csv is only available for spectrum and tmatrix", file=sys.stderr)

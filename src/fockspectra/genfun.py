@@ -8,7 +8,10 @@ Extracting that coefficient directly gives the closed form used here:
 
 with g(0, 0) = 1 and g(d, l) = 0 unless d >= l >= 1.  Products of these
 generators indexed by admissible sequences form a basis of each bigraded
-component; expand_in_gbasis computes exact coordinates in that basis.
+component.  expand_in_gbasis computes exact coordinates in that basis by
+solving E c = v, where v holds the monomial coefficients and column j of the
+expansion matrix E those of the j-th basis product; E is factorised once per
+component by a sparse LU (linalg.lu_factor) and solved once per vector.
 """
 
 from __future__ import annotations
@@ -142,15 +145,14 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _expansion_inverse(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
+def _expansion_lu(d: int, ell: int) -> linalg.LUFactors:
     try:
-        inv = linalg.invert([list(row) for row in expansion_matrix(d, ell)])
+        return linalg.lu_factor(expansion_matrix(d, ell))
     except SingularMatrixError as e:
         raise ConsistencyError(
             f"expansion matrix for component ({d},{ell}) is singular; "
             "the product family failed to be a basis"
         ) from e
-    return tuple(tuple(row) for row in inv)
 
 
 def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
@@ -169,9 +171,8 @@ def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
         if f.is_zero():
             return ()
         raise ValueError(f"component ({d},{ell}) is zero-dimensional")
-    inv = _expansion_inverse(d, ell)
     vec = [f.coefficient(m) for m in monos]
-    return tuple(linalg.mat_vec(inv, vec))
+    return tuple(linalg.lu_solve(_expansion_lu(d, ell), vec))
 
 
 def gproduct_str(product: GProduct) -> str:

@@ -1,9 +1,11 @@
-"""Dense exact linear algebra over Fraction.
+"""Exact linear algebra over Fraction: dense elimination and one sparse LU.
 
-Everything here works on lists of lists of Fractions and never touches
-floating point.  Pivots are chosen among the nonzero candidates by smallest
-numerator/denominator size; the choice only affects the amount of arithmetic,
-never the result.
+Everything here works on Fractions and never touches floating point.  The
+dense routines take lists of lists; rref chooses pivots among the nonzero
+candidates by smallest numerator/denominator size, which only affects the
+amount of arithmetic, never the result.  lu_factor/lu_solve keep rows as
+dicts that never store a zero, for square systems solved many times against
+one sparse matrix.
 """
 
 from __future__ import annotations
@@ -90,6 +92,79 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix:
     if pivots != list(range(n)):
         raise SingularMatrixError(f"matrix of size {n} is singular")
     return [row[n:] for row in red]
+
+
+# One step per pivot, in elimination order: (row, col, pivot, upper, lower),
+# with the pivot entry at (row, col), the rest of that row as (col, value)
+# pairs, and the multipliers (other row, factor) that cleared col from the
+# rows still unpivoted.
+SparseEntries = tuple[tuple[int, Fraction], ...]
+LUFactors = tuple[tuple[int, int, Fraction, SparseEntries, SparseEntries], ...]
+
+
+def lu_factor(rows: Sequence[Sequence[Fraction]]) -> LUFactors:
+    """Sparse LU factorisation of a square matrix; raises SingularMatrixError.
+
+    Each step pivots on the remaining column with the fewest nonzeros, then on
+    that column's shortest row, ties going to the lower index, so the pivot
+    order depends only on the sparsity pattern.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("lu_factor needs a square matrix")
+    live = {i: {j: Fraction(v) for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
+    col_rows: dict[int, set[int]] = {j: set() for j in range(n)}
+    for i, row in live.items():
+        for j in row:
+            col_rows[j].add(i)
+    steps = []
+    while col_rows:
+        c = min(col_rows, key=lambda j: (len(col_rows[j]), j))
+        candidates = col_rows.pop(c)
+        if not candidates:
+            raise SingularMatrixError(f"matrix of size {n} is singular")
+        r = min(candidates, key=lambda i: (len(live[i]), i))
+        prow = live.pop(r)
+        pivot = prow.pop(c)
+        for j in prow:
+            col_rows[j].discard(r)
+        candidates.discard(r)
+        lower = []
+        for i in candidates:
+            row = live[i]
+            f = row.pop(c) / pivot
+            lower.append((i, f))
+            for j, u in prow.items():
+                v = row.get(j, 0) - f * u
+                if v:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+        steps.append((r, c, pivot, tuple(prow.items()), tuple(lower)))
+    return tuple(steps)
+
+
+def lu_solve(factors: LUFactors, b: Sequence[Fraction]) -> Vector:
+    """The unique x with A x = b, for the A that lu_factor factorised."""
+    if len(b) != len(factors):
+        raise ValueError(f"right-hand side has length {len(b)}, expected {len(factors)}")
+    y = [Fraction(v) for v in b]
+    for r, _, _, _, lower in factors:
+        v = y[r]
+        if v:
+            for i, f in lower:
+                y[i] -= f * v
+    x = [Fraction(0)] * len(factors)
+    for r, c, pivot, upper, _ in reversed(factors):
+        s = y[r]
+        for j, u in upper:
+            if x[j]:
+                s -= u * x[j]
+        x[c] = s / pivot
+    return x
 
 
 def null_space(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:

@@ -45,31 +45,44 @@ def count_partitions(d: int, ell: int) -> int:
         return 1 if d == 0 and ell == 0 else 0
     if ell > d:
         return 0
-    return count_partitions(d - 1, ell - 1) + count_partitions(d - ell, ell)
+    # removing one from each part leaves a partition of d - ell into parts <= ell
+    rest = d - ell
+    table = [1] + [0] * rest
+    for part in range(1, min(ell, rest) + 1):
+        for total in range(part, rest + 1):
+            table[total] += table[total - part]
+    return table[rest]
 
 
 @lru_cache(maxsize=None)
 def partitions_with_length(d: int, ell: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of d with exactly ell parts, in decreasing lex order."""
-    if d < 0 or ell < 0:
+    if ell == 0:
+        return ((),) if d == 0 else ()
+    if d < 0 or ell < 0 or ell > d:
         return ()
     out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], remaining: int, parts_left: int, cap: int) -> None:
-        if parts_left == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        # largest part leaves at least 1 per remaining slot, and stays <= cap
-        hi = min(cap, remaining - (parts_left - 1))
-        lo = -(-remaining // parts_left)  # ceil: parts are weakly decreasing
-        for p in range(hi, lo - 1, -1):
-            prefix.append(p)
-            extend(prefix, remaining - p, parts_left - 1, p)
-            prefix.pop()
-
-    extend([], d, ell, d)
-    return tuple(out)
+    # explicit stack: parts[k] fills slot k, rems[k] is what remained before
+    # it; the last slot takes whatever remains after slot ell - 2
+    parts: list[int] = []
+    rems: list[int] = []
+    rem, cap = d, d
+    while True:
+        while len(parts) < ell - 1:  # descend, largest part first
+            p = min(cap, rem - (ell - len(parts) - 1))
+            rems.append(rem)
+            parts.append(p)
+            rem, cap = rem - p, p
+        out.append((*parts, rem))
+        while parts:  # backtrack to the deepest slot that can still shrink
+            p, rem = parts.pop() - 1, rems.pop()
+            if p * (ell - len(parts)) >= rem:  # weakly decreasing parts still fit
+                rems.append(rem)
+                parts.append(p)
+                rem, cap = rem - p, p
+                break
+        else:
+            return tuple(out)
 
 
 def hook_leg_profile(parts: Sequence[int]) -> tuple[HookLeg, ...]:

@@ -83,7 +83,7 @@ def test_criterion_03_basis_dimensions_and_rank():
 
 def test_criterion_04_triangularity_formula_and_char_poly():
     spectral._t_matrix_entries.cache_clear()
-    genfun._expansion_inverse.cache_clear()
+    genfun._expansion_lu.cache_clear()
     genfun.expansion_matrix.cache_clear()
     genfun._expand_canonical.cache_clear()
     start = time.monotonic()

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from fockspectra import cli, g_poly, spectrum
+from fockspectra import cli, g_poly, spectral, spectrum
+from fockspectra.errors import ConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,31 @@ def test_resource_guard(capsys):
     code, _, err = run_cli(capsys, "spectrum", "12", "4", "--max-dim", "5")
     assert code == 2
     assert "dimension" in err
+
+
+def test_resource_guard_on_a_deep_component(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "3000", "2", "--max-dim", "100", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert "dimension 1500" in payload["error"]
+
+
+def test_consistency_error_is_a_failure_not_a_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConsistencyError("cross-check failed on component (4,2)")
+
+    monkeypatch.setattr(spectral, "spectrum", broken)
+    code, out, err = run_cli(capsys, "spectrum", "4", "2", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["error"] == "cross-check failed on component (4,2)"
+    assert "result" not in payload and not err
+    code, out, err = run_cli(capsys, "spectrum", "4", "2")
+    assert code == 1
+    assert err == "error: cross-check failed on component (4,2)\n"
+    assert not out
 
 
 def test_csv_unavailable_elsewhere(capsys):

@@ -127,7 +127,7 @@ def test_expand_in_gbasis_accepts_zero():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_expansion_round_trip(data):
-    d = data.draw(st.integers(1, 8))
+    d = data.draw(st.integers(1, 12))
     ell = data.draw(st.integers(1, d))
     basis = s_basis(d, ell)
     coords = data.draw(

@@ -19,6 +19,13 @@ def test_enumeration_examples():
     assert len(partitions_with_length(12, 4)) == 15
     assert partitions_with_length(3, 5) == ()
     assert partitions_with_length(0, 0) == ((),)
+    assert partitions_with_length(0, 1) == ()
+    assert partitions_with_length(5, 0) == ()
+
+
+def test_large_inputs_need_no_recursion():
+    assert count_partitions(3000, 2) == 1500
+    assert partitions_with_length(1200, 1200) == ((1,) * 1200,)
 
 
 def test_enumeration_is_decreasing_lex():

@@ -206,6 +206,14 @@ def test_char_poly_check_sweep():
             assert char_poly_check(d, ell), (d, ell)
 
 
+def test_char_poly_check_reads_only_the_monomial_matrix(monkeypatch):
+    seen = []
+    real = linalg.char_poly
+    monkeypatch.setattr(linalg, "char_poly", lambda rows: seen.append(rows) or real(rows))
+    assert char_poly_check(7, 3)
+    assert seen == [[list(row) for row in t_matrix(7, 3, basis="monomial").entries]]
+
+
 def test_char_poly_small_cases():
     a = [[Fraction(2), Fraction(2)], [Fraction(1), Fraction(1)]]
     assert linalg.char_poly(a) == [1, -3, 0]
