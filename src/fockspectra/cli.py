@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 from . import genfun, partitions, spectral, transfer
 from .errors import ConsistencyError
 from .genfun import GCombination, GProduct, gcombination_str, gproduct_str
-from .poly import Monomial, Polynomial, mono_str, monomial_basis
+from .poly import Monomial, Polynomial, mono_str, monomial_basis, rational_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -148,18 +149,15 @@ def _run_basis(args) -> tuple[dict, str, Optional[str]]:
     _require(d >= ell >= 1, f"need d >= ell >= 1, got ({d}, {ell})")
     _guard_dimension(d, ell, args.max_dim)
     basis = spectral.s_basis(d, ell)
+    diagrams = [partitions.profile_to_partition(p) for p in basis]
     entries = [
-        {
-            "product": gproduct_payload(p),
-            "partition": list(partitions.profile_to_partition(p)),
-        }
-        for p in basis
+        {"product": gproduct_payload(p), "partition": list(parts)}
+        for p, parts in zip(basis, diagrams)
     ]
     result = {"d": d, "ell": ell, "size": len(basis), "entries": entries}
     lines = [f"basis of component ({d},{ell}), {len(basis)} elements:"]
-    for item in entries:
-        prod = gproduct_from_payload(item["product"])
-        lines.append(f"  {gproduct_str(prod)}  <->  partition {tuple(item['partition'])}")
+    for p, parts in zip(basis, diagrams):
+        lines.append(f"  {gproduct_str(p)}  <->  partition {parts}")
     return result, "\n".join(lines), None
 
 
@@ -173,11 +171,13 @@ def _run_gpoly(args) -> tuple[dict, str, Optional[str]]:
 
 
 def _run_straighten(args) -> tuple[dict, str, Optional[str]]:
+    regular = transfer.is_regular_pair(args.d1, args.l1, args.d2, args.l2)
+    if not regular:  # an irregular pair is solved on the component of the product
+        _guard_dimension(args.d1 + args.d2, args.l1 + args.l2, args.max_dim)
     try:
         comb = transfer.straighten_pair(args.d1, args.l1, args.d2, args.l2)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    regular = transfer.is_regular_pair(args.d1, args.l1, args.d2, args.l2)
     result = {
         "input": [[args.d1, args.l1], [args.d2, args.l2]],
         "regular": regular,
@@ -229,16 +229,12 @@ def _run_tmatrix(args) -> tuple[dict, str, Optional[str]]:
     lines = [f"matrix of the operator on ({d},{ell}), {args.basis} basis:"]
     lines.append("columns: " + ", ".join(texts))
     for row in matrix.entries:
-        lines.append("  [" + ", ".join(_short_fraction(v) for v in row) + "]")
+        lines.append("  [" + ", ".join(rational_str(v) for v in row) + "]")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in matrix.entries:
-        writer.writerow([_short_fraction(v) for v in row])
+        writer.writerow([rational_str(v) for v in row])
     return result, "\n".join(lines), buf.getvalue().rstrip("\n")
-
-
-def _short_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +353,9 @@ def _run_verify(args) -> tuple[dict, str, Optional[str]]:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable envelope output")

@@ -22,9 +22,8 @@ from typing import Iterable
 
 from . import linalg
 from .errors import ConsistencyError, SingularMatrixError
-from .partitions import admissible_sequences, pair_sort_key, partitions_with_length
-from .poly import Polynomial, bidegree, mono_norm_sq, monomial_basis, partition_monomial
-from .poly import Bidegree
+from .partitions import admissible_sequences, pair_sort_key, partitions_with_length, product_sort_key
+from .poly import Polynomial, bidegree, combination_str, mono_norm_sq, monomial_basis, partition_monomial
 
 GIndex = tuple[int, int]
 GProduct = tuple[GIndex, ...]
@@ -49,10 +48,9 @@ def g_poly(d: int, ell: int) -> Polynomial:
     return Polynomial(terms)
 
 
-def canonical_product(factors: Iterable[GIndex]) -> GProduct:
-    """Canonical form of a factor sequence: zero factors rejected, g(0,0)
-    dropped, remaining factors sorted with larger degree (then smaller
-    length) first."""
+def nonzero_factors(factors: Iterable[GIndex]) -> list[GIndex]:
+    """The factors in the order given, with g(0,0) dropped; a factor that is
+    identically zero raises ValueError."""
     kept = []
     for d, ell in factors:
         if d == ell == 0:
@@ -60,15 +58,13 @@ def canonical_product(factors: Iterable[GIndex]) -> GProduct:
         if g_value_is_zero(d, ell):
             raise ValueError(f"factor g({d},{ell}) is identically zero")
         kept.append((d, ell))
-    return tuple(sorted(kept, key=pair_sort_key))
+    return kept
 
 
-def product_bidegree(factors: Iterable[GIndex]) -> Bidegree:
-    ds, ells = 0, 0
-    for d, ell in factors:
-        ds += d
-        ells += ell
-    return Bidegree(ds, ells)
+def canonical_product(factors: Iterable[GIndex]) -> GProduct:
+    """Canonical form of a factor sequence: its nonzero_factors sorted with
+    larger degree (then smaller length) first."""
+    return tuple(sorted(nonzero_factors(factors), key=pair_sort_key))
 
 
 @lru_cache(maxsize=None)
@@ -131,11 +127,10 @@ def spanning_products(d: int, ell: int) -> tuple[GProduct, ...]:
                 prefix.pop()
 
     extend([], d, ell, (-d, 0))
-    out.sort(key=lambda p: tuple(pair_sort_key(f) for f in p))
+    out.sort(key=product_sort_key)
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
     """Column j = coordinates of the j-th basis product in the monomial basis."""
     basis = admissible_sequences(d, ell)
@@ -182,18 +177,4 @@ def gproduct_str(product: GProduct) -> str:
 
 
 def gcombination_str(comb: GCombination) -> str:
-    if not comb:
-        return "0"
-    pieces = []
-    for product in sorted(comb, key=lambda p: tuple(pair_sort_key(f) for f in p)):
-        c = comb[product]
-        body = gproduct_str(product)
-        mag = abs(c)
-        text = body if mag == 1 and product else (
-            str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        ) + ("*" + body if product else "")
-        if not pieces:
-            pieces.append(text if c > 0 else f"-{text}")
-        else:
-            pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(pieces)
+    return combination_str((gproduct_str(p), comb[p]) for p in sorted(comb, key=product_sort_key))

@@ -54,7 +54,6 @@ def count_partitions(d: int, ell: int) -> int:
     return table[rest]
 
 
-@lru_cache(maxsize=None)
 def partitions_with_length(d: int, ell: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of d with exactly ell parts, in decreasing lex order."""
     if ell == 0:

@@ -12,6 +12,9 @@ Two gradings are used throughout: deg(x_k) = k and len(x_k) = 1.  The scalar
 product makes distinct monomials orthogonal, with the squared norm of a
 monomial equal to the product of the factorials of its exponents, so that
 d/dx_k is adjoint to multiplication by x_k.
+
+The text forms of rationals (rational_str) and of signed sums such as
+"x1*x3 + 1/2*x2^2" (combination_str) live here; genfun prints with them too.
 """
 
 from __future__ import annotations
@@ -94,8 +97,24 @@ def mono_str(m: Monomial) -> str:
     return "*".join(f"x{k}" if a == 1 else f"x{k}^{a}" for k, a in m)
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def rational_str(q: Scalar) -> str:
+    """Short text of a rational: "3" for an integer, "1/2" otherwise."""
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def combination_str(terms: Iterable[tuple[str, Scalar]]) -> str:
+    """Signed sum of (body, coefficient) terms in the order given, such as
+    "-2/3*g(4,2) - g(3,1)g(1,1)": a coefficient of magnitude 1 is left out,
+    the unit body "1" prints as its coefficient alone, and no terms as "0"."""
+    pieces: list[str] = []
+    for body, c in terms:
+        mag = rational_str(abs(c))
+        text = mag if body == "1" else body if mag == "1" else f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if c > 0 else f"-{text}")
+        else:
+            pieces.append(f"+ {text}" if c > 0 else f"- {text}")
+    return " ".join(pieces) or "0"
 
 
 class Polynomial:
@@ -231,22 +250,7 @@ class Polynomial:
         return out
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for m, c in self.terms():
-            body = mono_str(m)
-            if m == MONO_ONE:
-                text = _coeff_str(abs(c))
-            elif abs(c) == 1:
-                text = body
-            else:
-                text = f"{_coeff_str(abs(c))}*{body}"
-            if not pieces:
-                pieces.append(text if c > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(pieces)
+        return combination_str((mono_str(m), c) for m, c in self.terms())
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

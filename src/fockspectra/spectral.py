@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Union
 
 from . import linalg
 from .errors import ConsistencyError
-from .genfun import GProduct, expand_in_gbasis, g_product_expand
-from .partitions import admissible_sequences, count_partitions
+from .genfun import GProduct, expand_combination, expand_in_gbasis, g_product_expand
+from .partitions import admissible_sequences
 from .poly import Monomial, Polynomial, inner_product, mono_norm_sq, monomial_basis
 from .transfer import apply_t
 
@@ -198,10 +198,7 @@ def eigenbasis(d: int, ell: int) -> tuple[Eigenfunction, ...]:
                 f"!= multiplicity {values.count(lam)}"
             )
         for vec in kernel:
-            poly = Polynomial.zero()
-            for c, product in zip(vec, basis):
-                if c:
-                    poly = poly + g_product_expand(product) * c
+            poly = expand_combination({p: c for c, p in zip(vec, basis) if c})
             out.append(Eigenfunction(lam, tuple(vec), poly))
     return tuple(out)
 
@@ -264,7 +261,3 @@ def char_poly_check(d: int, ell: int) -> bool:
         [Fraction(v) for v in spectrum(d, ell).eigenvalues]
     )
     return actual == expected
-
-
-def component_dimension(d: int, ell: int) -> int:
-    return count_partitions(d, ell)

@@ -23,6 +23,7 @@ from .genfun import (
     expand_in_gbasis,
     g_poly,
     g_value_is_zero,
+    nonzero_factors,
 )
 from .partitions import admissible_sequences
 from .poly import Polynomial
@@ -63,19 +64,6 @@ def apply_t(f: Polynomial) -> Polynomial:
     return Polynomial(acc) * Fraction(1, 2)
 
 
-def _validated_factors(factors: Iterable[GIndex]) -> list[GIndex]:
-    kept = []
-    for d, ell in factors:
-        if d == ell == 0:
-            continue
-        if ell < 1:
-            raise ValueError(f"factor g({d},{ell}) has length {ell}; only g(0,0) may have length 0")
-        if g_value_is_zero(d, ell):
-            raise ValueError(f"factor g({d},{ell}) is identically zero")
-        kept.append((d, ell))
-    return kept
-
-
 def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     """Closed-form action of T on a product of generators.
 
@@ -90,7 +78,7 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     where the bracket replaces the i-th and j-th factors, vanished factors
     kill the term, and g(0,0) factors are dropped.
     """
-    work = _validated_factors(factors)
+    work = nonzero_factors(factors)
     out: GCombination = {}
 
     def add(updated: list[GIndex], coeff: Fraction) -> None:

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fockspectra
 from fockspectra import cli, g_poly, spectral, spectrum
 from fockspectra.errors import ConsistencyError
 
@@ -168,6 +170,29 @@ def test_resource_guard_on_a_deep_component(capsys):
     assert "dimension 1500" in payload["error"]
 
 
+def test_straighten_guards_the_component_it_solves_on(capsys):
+    # an irregular pair is solved on (d1 + d2, l1 + l2), here of dimension 37338
+    code, out, _ = run_cli(capsys, "straighten", "40", "20", "40", "20", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert "dimension 37338" in payload["error"]
+    # a regular pair is returned unchanged, so no component is too large
+    code, out, _ = run_cli(capsys, "straighten", "40", "1", "20", "20", "--max-dim", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["regular"] is True
+
+
+def test_a_call_does_not_inherit_the_options_of_the_previous_one(capsys):
+    run_cli(capsys, "spectrum", "4", "2", "--eigenvectors", "--json")
+    code, out, _ = run_cli(capsys, "spectrum", "4", "2", "--json")
+    assert code == 0
+    assert all("eigenvector" not in e for e in json.loads(out)["result"]["entries"])
+    run_cli(capsys, "tmatrix", "4", "2", "--basis", "monomial", "--csv")
+    code, out, _ = run_cli(capsys, "tmatrix", "4", "2", "--csv")
+    assert out.strip().splitlines() == ["3,2", "0,0"]
+
+
 def test_consistency_error_is_a_failure_not_a_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ConsistencyError("cross-check failed on component (4,2)")
@@ -203,6 +228,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "fockspectra", "spectrum", "4", "2", "--json"],
         capture_output=True,
         text=True,
+        cwd=Path(fockspectra.__file__).parents[1],  # the package under test, installed or not
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["result"]["eigenvalues"] == [0, 3]

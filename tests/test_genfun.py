@@ -165,3 +165,6 @@ def test_rendering():
     comb = {((4, 2),): Fraction(2), ((3, 1), (1, 1)): Fraction(-2)}
     assert gcombination_str(comb) == "2*g(4,2) - 2*g(3,1)g(1,1)"
     assert gcombination_str({}) == "0"
+    assert gcombination_str({(): 3, ((2, 1),): Fraction(1, 2)}) == "3 + 1/2*g(2,1)"
+    comb = {((3, 1), (1, 1)): -1, ((4, 2),): Fraction(-2, 3)}
+    assert gcombination_str(comb) == "-2/3*g(4,2) - g(3,1)g(1,1)"

@@ -141,3 +141,6 @@ def test_string_rendering():
     assert str(Polynomial.zero()) == "0"
     assert str(x(1) * x(3) + x(2) ** 2 / 2) == "x1*x3 + 1/2*x2^2"
     assert str(-x(2) + x(1) ** 2 / 2) == "-x2 + 1/2*x1^2"
+    assert str(-Polynomial.one()) == "-1"
+    assert str(x(1) - 1) == "x1 - 1"
+    assert str(Polynomial({(): Fraction(-3, 2)})) == "-3/2"
