@@ -35,47 +35,27 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# serialization (stable JSON payloads; every payload parses back)
+# serialization (stable JSON payloads)
 
 def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def mono_payload(m: Monomial) -> list[list[int]]:
     return [[k, a] for k, a in m]
 
 
-def mono_from_payload(obj: Sequence[Sequence[int]]) -> Monomial:
-    return tuple((int(k), int(a)) for k, a in obj)
-
-
 def poly_payload(f: Polynomial) -> list[list]:
     return [[mono_payload(m), fraction_str(c)] for m, c in f.terms()]
-
-
-def poly_from_payload(obj: Sequence[Sequence]) -> Polynomial:
-    return Polynomial({mono_from_payload(m): parse_fraction(c) for m, c in obj})
 
 
 def gproduct_payload(p: GProduct) -> list[list[int]]:
     return [[d, ell] for d, ell in p]
 
 
-def gproduct_from_payload(obj: Sequence[Sequence[int]]) -> GProduct:
-    return tuple((int(d), int(ell)) for d, ell in obj)
-
-
 def gcombination_payload(comb: GCombination) -> list[list]:
     ordered = sorted(comb, key=partitions.product_sort_key)
     return [[gproduct_payload(p), fraction_str(comb[p])] for p in ordered]
-
-
-def gcombination_from_payload(obj: Sequence[Sequence]) -> GCombination:
-    return {gproduct_from_payload(p): parse_fraction(c) for p, c in obj}
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +74,19 @@ def _guard_dimension(d: int, ell: int, max_dim: int) -> None:
     )
 
 
+def _component(args) -> tuple[int, int]:
+    d, ell = args.d, args.ell
+    _require(d >= ell >= 1, f"need d >= ell >= 1, got ({d}, {ell})")
+    _guard_dimension(d, ell, args.max_dim)
+    return d, ell
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def _parse_partition_arg(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(piece) for piece in text.split(","))
@@ -106,9 +99,7 @@ def _parse_partition_arg(text: str) -> tuple[int, ...]:
 
 
 def _run_spectrum(args) -> tuple[dict, str, Optional[str]]:
-    d, ell = args.d, args.ell
-    _require(d >= ell >= 1, f"need d >= ell >= 1, got ({d}, {ell})")
-    _guard_dimension(d, ell, args.max_dim)
+    d, ell = _component(args)
     report = spectral.spectrum(d, ell, with_eigenvectors=args.eigenvectors)
     entries = []
     for e in report.entries:
@@ -136,18 +127,12 @@ def _run_spectrum(args) -> tuple[dict, str, Optional[str]]:
             lines.append(f"          eigenvector: {e.eigenvector}")
     human = "\n".join(lines)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["eigenvalue", "sequence"])
-    for e in report.entries:
-        writer.writerow([e.eigenvalue, gproduct_str(e.sequence)])
-    return result, human, buf.getvalue().rstrip("\n")
+    rows = [[e.eigenvalue, gproduct_str(e.sequence)] for e in report.entries]
+    return result, human, _csv([["eigenvalue", "sequence"]] + rows)
 
 
 def _run_basis(args) -> tuple[dict, str, Optional[str]]:
-    d, ell = args.d, args.ell
-    _require(d >= ell >= 1, f"need d >= ell >= 1, got ({d}, {ell})")
-    _guard_dimension(d, ell, args.max_dim)
+    d, ell = _component(args)
     basis = spectral.s_basis(d, ell)
     diagrams = [partitions.profile_to_partition(p) for p in basis]
     entries = [
@@ -209,9 +194,7 @@ def _run_hooks(args) -> tuple[dict, str, Optional[str]]:
 
 
 def _run_tmatrix(args) -> tuple[dict, str, Optional[str]]:
-    d, ell = args.d, args.ell
-    _require(d >= ell >= 1, f"need d >= ell >= 1, got ({d}, {ell})")
-    _guard_dimension(d, ell, args.max_dim)
+    d, ell = _component(args)
     matrix = spectral.t_matrix(d, ell, basis=args.basis)
     if args.basis == "monomial":
         texts = [mono_str(m) for m in matrix.col_labels]
@@ -230,11 +213,8 @@ def _run_tmatrix(args) -> tuple[dict, str, Optional[str]]:
     lines.append("columns: " + ", ".join(texts))
     for row in matrix.entries:
         lines.append("  [" + ", ".join(rational_str(v) for v in row) + "]")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in matrix.entries:
-        writer.writerow([rational_str(v) for v in row])
-    return result, "\n".join(lines), buf.getvalue().rstrip("\n")
+    rows = [[rational_str(v) for v in row] for row in matrix.entries]
+    return result, "\n".join(lines), _csv(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +248,11 @@ def _verify_checks(max_d: int) -> list[dict]:
             failures.append(f"({d},{ell})")
     record("triangularity", len(pairs), failures)
 
+    eigenvalues = {}  # of each component whose spectrum did not raise
     failures = []
     for d, ell in pairs:
         try:
-            spectral.spectrum(d, ell)
+            eigenvalues[d, ell] = spectral.spectrum(d, ell).eigenvalues
             if not spectral.char_poly_check(d, ell):
                 failures.append(f"({d},{ell}) characteristic polynomial")
         except ConsistencyError as e:
@@ -290,13 +271,13 @@ def _verify_checks(max_d: int) -> list[dict]:
         g = genfun.g_poly(d, ell)
         if transfer.apply_t(g) != g * lam:
             failures.append(f"({d},{ell}) eigenfunction")
-        elif max(spectral.spectrum(d, ell).eigenvalues) != lam:
+        elif (d, ell) not in eigenvalues or max(eigenvalues[d, ell]) != lam:
             failures.append(f"({d},{ell}) maximum")
     record("dominant eigenvalue", len(pairs), failures)
 
     failures = []
     for d, ell in pairs:
-        if (0 in spectral.spectrum(d, ell).eigenvalues) != (d >= ell * ell):
+        if (d, ell) not in eigenvalues or (0 in eigenvalues[d, ell]) != (d >= ell * ell):
             failures.append(f"({d},{ell})")
     record("zero-eigenvalue law", len(pairs), failures)
 
@@ -328,11 +309,8 @@ def _verify_checks(max_d: int) -> list[dict]:
 
 def _run_verify(args) -> tuple[dict, str, Optional[str]]:
     _require(args.max_d >= 1, f"--max-d must be >= 1, got {args.max_d}")
-    worst = max(
-        partitions.count_partitions(d, ell)
-        for d in range(1, args.max_d + 1)
-        for ell in range(1, d + 1)
-    )
+    # partitions of (d, ell) embed in (d + 1, ell) by adding 1 to the largest part, so use d = max_d
+    worst = max(partitions.count_partitions(args.max_d, ell) for ell in range(1, args.max_d + 1))
     _require(
         worst <= args.max_dim,
         f"sweep up to d={args.max_d} needs dimension {worst}, above --max-dim {args.max_dim}",
@@ -373,42 +351,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="eigenvalues on a component")
-    p.add_argument("d", type=int)
-    p.add_argument("ell", type=int)
+    def command(name, run, help, *int_positionals):
+        p = sub.add_parser(name, parents=[common], help=help)
+        for dest in int_positionals:
+            p.add_argument(dest, type=int)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("spectrum", _run_spectrum, "eigenvalues on a component", "d", "ell")
     p.add_argument("--eigenvectors", action="store_true", help="include exact eigenvectors")
-    p.set_defaults(run=_run_spectrum)
-
-    p = sub.add_parser("basis", parents=[common], help="product basis with Young diagrams")
-    p.add_argument("d", type=int)
-    p.add_argument("ell", type=int)
-    p.set_defaults(run=_run_basis)
-
-    p = sub.add_parser("gpoly", parents=[common], help="the generator g(d, ell)")
-    p.add_argument("d", type=int)
-    p.add_argument("ell", type=int)
-    p.set_defaults(run=_run_gpoly)
-
-    p = sub.add_parser("straighten", parents=[common], help="rewrite a product of two generators")
-    p.add_argument("d1", type=int)
-    p.add_argument("l1", type=int)
-    p.add_argument("d2", type=int)
-    p.add_argument("l2", type=int)
-    p.set_defaults(run=_run_straighten)
-
-    p = sub.add_parser("hooks", parents=[common], help="diagonal hook/leg statistics of a partition")
+    command("basis", _run_basis, "product basis with Young diagrams", "d", "ell")
+    command("gpoly", _run_gpoly, "the generator g(d, ell)", "d", "ell")
+    command("straighten", _run_straighten, "rewrite a product of two generators", "d1", "l1", "d2", "l2")
+    p = command("hooks", _run_hooks, "diagonal hook/leg statistics of a partition")
     p.add_argument("partition", help="comma-separated weakly decreasing positive parts, e.g. 7,7,5,4,3,2")
-    p.set_defaults(run=_run_hooks)
-
-    p = sub.add_parser("tmatrix", parents=[common], help="matrix of the operator on a component")
-    p.add_argument("d", type=int)
-    p.add_argument("ell", type=int)
+    p = command("tmatrix", _run_tmatrix, "matrix of the operator on a component", "d", "ell")
     p.add_argument("--basis", choices=["gbasis", "monomial"], default="gbasis")
-    p.set_defaults(run=_run_tmatrix)
-
-    p = sub.add_parser("verify", parents=[common], help="run the full verification sweep")
+    p = command("verify", _run_verify, "run the full verification sweep")
     p.add_argument("--max-d", type=int, default=8, dest="max_d")
-    p.set_defaults(run=_run_verify)
 
     return parser
 

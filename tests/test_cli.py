@@ -1,6 +1,10 @@
 import json
+import contextlib
+import importlib.util
+import io
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -39,11 +43,17 @@ def test_spectrum_eigenvectors_round_trip(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "4", "2", "--json", "--eigenvectors")
     assert code == 0
     payload = json.loads(out)
+    entries = payload["result"]["entries"]
     report = spectrum(4, 2, with_eigenvectors=True)
-    for entry_json, entry in zip(payload["result"]["entries"], report.entries):
+    assert len(entries) == len(report.entries)
+    for entry_json, entry in zip(entries, report.entries):
         assert entry_json["eigenvalue"] == entry.eigenvalue
-        assert cli.gproduct_from_payload(entry_json["sequence"]) == entry.sequence
-        assert cli.poly_from_payload(entry_json["eigenvector"]) == entry.eigenvector
+        assert entry_json["sequence"] == cli.gproduct_payload(entry.sequence)
+        assert entry_json["eigenvector"] == cli.poly_payload(entry.eigenvector)
+    assert entries == [
+        {"eigenvalue": 0, "sequence": [[3, 1], [1, 1]], "eigenvector": [[[[1, 1], [3, 1]], "1/3"], [[[2, 2]], "-1/3"]]},
+        {"eigenvalue": 3, "sequence": [[4, 2]], "eigenvector": [[[[1, 1], [3, 1]], "1/1"], [[[2, 2]], "1/2"]]},
+    ]
 
 
 def test_spectrum_csv(capsys):
@@ -73,7 +83,8 @@ def test_gpoly_output(capsys):
     assert out.strip() == "x1*x3 + 1/2*x2^2"
     code, out, _ = run_cli(capsys, "gpoly", "4", "2", "--json")
     payload = json.loads(out)
-    assert cli.poly_from_payload(payload["result"]["polynomial"]) == g_poly(4, 2)
+    assert payload["result"]["polynomial"] == [[[[1, 1], [3, 1]], "1/1"], [[[2, 2]], "1/2"]]
+    assert payload["result"]["polynomial"] == cli.poly_payload(g_poly(4, 2))
 
 
 def test_straighten_output(capsys):
@@ -83,10 +94,7 @@ def test_straighten_output(capsys):
     code, out, _ = run_cli(capsys, "straighten", "2", "1", "2", "1", "--json")
     payload = json.loads(out)
     assert payload["result"]["regular"] is False
-    assert cli.gcombination_from_payload(payload["result"]["combination"]) == {
-        ((4, 2),): 2,
-        ((3, 1), (1, 1)): -2,
-    }
+    assert payload["result"]["combination"] == [[[[4, 2]], "2/1"], [[[3, 1], [1, 1]], "-2/1"]]
 
 
 def test_hooks_output(capsys):
@@ -108,14 +116,11 @@ def test_tmatrix_output(capsys):
     code, out, _ = run_cli(capsys, "tmatrix", "4", "2", "--json")
     payload = json.loads(out)
     assert payload["result"]["rows"] == [["3/1", "2/1"], ["0/1", "0/1"]]
-    labels = [cli.gproduct_from_payload(p) for p in payload["result"]["labels"]]
-    assert labels == [((4, 2),), ((3, 1), (1, 1))]
-    rows = [[cli.parse_fraction(v) for v in row] for row in payload["result"]["rows"]]
-    assert tuple(tuple(row) for row in rows) == ((3, 2), (0, 0))
+    assert payload["result"]["labels"] == [[[4, 2]], [[3, 1], [1, 1]]]
     code, out, _ = run_cli(capsys, "tmatrix", "4", "2", "--basis", "monomial", "--json")
     payload = json.loads(out)
-    monos = [cli.mono_from_payload(m) for m in payload["result"]["labels"]]
-    assert monos == [((1, 1), (3, 1)), ((2, 2),)]
+    assert payload["result"]["labels"] == [[[1, 1], [3, 1]], [[2, 2]]]
+    assert payload["result"]["rows"] == [["2/1", "2/1"], ["1/1", "1/1"]]
 
 
 def test_verify_passes(capsys):
@@ -131,6 +136,38 @@ def test_verify_trivial_sweep(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["all_passed"] is True
+
+
+def test_verify_reports_a_spectrum_that_raises(capsys, monkeypatch):
+    # spectrum() cross-checks its maximum against dominant_eigenvalue, so each component raises
+    monkeypatch.setattr(spectral, "dominant_eigenvalue", lambda d, ell: -1)
+    code, out, _ = run_cli(capsys, "verify", "--max-d", "3", "--json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    for name in ("spectrum consistency", "dominant eigenvalue", "zero-eigenvalue law"):
+        assert checks[name]["status"] == "fail"
+        assert len(checks[name]["failures"]) == checks[name]["cases"] == 6
+
+
+def test_verify_guard_names_the_largest_component_of_the_sweep(capsys):
+    count = {(0, 0): 1}  # partitions of d into exactly ell parts, counted apart from the program
+    for d in range(1, 41):
+        for ell in range(1, d + 1):
+            count[d, ell] = count.get((d - 1, ell - 1), 0) + count.get((d - ell, ell), 0)
+    for max_d in range(1, 41):
+        worst = max(count[d, ell] for d in range(1, max_d + 1) for ell in range(1, d + 1))
+        code, out, _ = run_cli(capsys, "verify", "--max-d", str(max_d), "--max-dim", "0", "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == (
+            f"sweep up to d={max_d} needs dimension {worst}, above --max-dim 0"
+        )
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--max-d", "300", "--json")
+    assert code == 2
+    assert time.perf_counter() - start < 2
+    assert json.loads(out)["error"] == (
+        "sweep up to d=300 needs dimension 295234932551509, above --max-dim 2000"
+    )
 
 
 def test_usage_errors(capsys):
@@ -232,3 +269,29 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["result"]["eigenvalues"] == [0, 3]
+
+
+def test_cli_output_matches_the_recorded_digests(monkeypatch):
+    """Replays every recorded CLI request of the benchmark in process; the stdout
+    of each must hash to its digest in perfbench/digests.json."""
+    bench = Path(__file__).parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec.loader.exec_module(workloads)
+    recorded = json.loads((bench / "digests.json").read_text())
+    # the cold spectrum ladder and the full sweep take seconds each
+    slow = {("spectrum", str(d), str(ell)) for d, ell in workloads.SPECTRUM_LADDER}
+    slow.add(("verify", "--max-d", str(workloads.VERIFY_MAX_D)))
+    requests = sorted(
+        argv for mode, argv in workloads.all_requests() if mode == "cli" and argv[:3] not in slow
+    )
+    assert len(requests) > 1000
+    mismatches = []
+    for argv in requests:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli.main(list(argv))
+        if workloads.digest(buf.getvalue()) != recorded[workloads.key(("cli", argv))]:
+            mismatches.append(argv)
+    assert mismatches == []
