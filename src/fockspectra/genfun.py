@@ -12,6 +12,8 @@ component.  expand_in_gbasis computes exact coordinates in that basis by
 solving E c = v, where v holds the monomial coefficients and column j of the
 expansion matrix E those of the j-th basis product; E is factorised once per
 component by a sparse LU (linalg.lu_factor) and solved once per vector.
+Inside the package only transfer.straighten_pair solves against E; spectrum
+builds the product-basis matrix of T without it.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
     """Column j = coordinates of the j-th basis product in the monomial basis."""
     basis = admissible_sequences(d, ell)
     monos = monomial_basis(d, ell)
-    cols = [_expand_canonical(p) for p in basis]
+    # uncached: these products only feed lu_factor
+    cols = [_expand_canonical.__wrapped__(p) for p in basis]
     return tuple(tuple(f.coefficient(m) for f in cols) for m in monos)
 
 

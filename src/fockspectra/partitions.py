@@ -89,10 +89,9 @@ def hook_leg_profile(parts: Sequence[int]) -> tuple[HookLeg, ...]:
     parts = check_partition(parts)
     if not parts:
         raise ValueError("empty partition has no diagonal boxes")
-    ncols = parts[0]
-    conj = [sum(1 for p in parts if p >= j) for j in range(1, ncols + 1)]
     k = sum(1 for i, p in enumerate(parts, start=1) if p >= i)
-    legs = [conj[i - 1] - i + 1 for i in range(1, k + 1)]
+    # only the k diagonal columns matter; parts[0] may be huge
+    legs = [sum(1 for p in parts if p >= i) - i + 1 for i in range(1, k + 1)]
     hooks = [(parts[i - 1] - i) + legs[i - 1] for i in range(1, k + 1)]
     out = []
     for i in range(k):

@@ -4,7 +4,12 @@ eigenfunctions, and the independent cross-checks.
 The product basis is ordered descending ("larger degree first, then smaller
 length", extended lexicographically), so the action of T sends each basis
 element to itself plus strictly earlier elements and its matrix comes out
-upper triangular; the diagonal carries the spectrum.  Eigenvalues are
+upper triangular; the diagonal carries the spectrum.  That matrix is built
+without expanding products into monomials: each column is the closed-form
+action of T on a basis product, with every inadmissible product in it
+straightened into the basis (transfer.straighten_product).  The expansion
+matrix E is solved against only inside straighten_pair, on the component of
+each irregular pair.  Eigenvalues are
 computed from the index sequences by
 
     lambda = 1/2 * sum_i (l_i - 1)(2 d_i - l_i)
@@ -22,10 +27,10 @@ from typing import NamedTuple, Optional, Union
 
 from . import linalg
 from .errors import ConsistencyError
-from .genfun import GProduct, expand_combination, expand_in_gbasis, g_product_expand
+from .genfun import GCombination, GProduct, expand_combination
 from .partitions import admissible_sequences
 from .poly import Monomial, Polynomial, inner_product, mono_norm_sq, monomial_basis
-from .transfer import apply_t
+from .transfer import apply_t, apply_t_structural, straighten_product
 
 BasisLabel = Union[Monomial, GProduct]
 
@@ -100,8 +105,14 @@ def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[Fraction, ...
         return tuple(tuple(f.coefficient(m) for f in images) for m in monos)
     if basis == "gbasis":
         products = s_basis(d, ell)
-        cols = [expand_in_gbasis(apply_t(g_product_expand(p)), d, ell) for p in products]
-        return tuple(tuple(col[i] for col in cols) for i in range(len(products)))
+        index = {p: i for i, p in enumerate(products)}
+        rows = [[Fraction(0)] * len(products) for _ in products]
+        memo: dict[GProduct, GCombination] = {}
+        for j, p in enumerate(products):
+            for q, c in apply_t_structural(p).items():
+                for r, cr in straighten_product(q, memo).items():
+                    rows[index[r]][j] += c * cr
+        return tuple(tuple(row) for row in rows)
     raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
 
 

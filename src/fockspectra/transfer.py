@@ -4,8 +4,9 @@
 
 in two realizations: directly on polynomials, and through its closed-form
 action on products of the generators g(d, l).  Also the straightening of
-irregular two-factor products into regular ones, and the alternating product
-identity used to cross-check that straightening exists.
+irregular two-factor products into regular ones, of any product into the
+basis of admissible products, and the alternating product identity used to
+cross-check that straightening exists.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
@@ -19,6 +20,7 @@ from .errors import ConsistencyError
 from .genfun import (
     GCombination,
     GIndex,
+    GProduct,
     canonical_product,
     expand_in_gbasis,
     g_poly,
@@ -146,6 +148,38 @@ def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
             )
         comb[product] = c
     return comb
+
+
+def straighten_product(product: GProduct, memo: dict[GProduct, GCombination]) -> GCombination:
+    """Coordinates of a canonical product in the basis of admissible products.
+
+    An admissible product is its own coordinate vector.  Otherwise its first
+    irregular adjacent pair is replaced by that pair's straighten_pair
+    combination, each resulting product is re-canonicalised and straightened
+    in turn, and the results are summed.  memo keeps the results for
+    irregular products (pairs included) for as long as the caller holds it;
+    the returned combinations must not be modified.
+    """
+    if product in memo:
+        return memo[product]
+    for i in range(len(product) - 1):
+        (d1, l1), (d2, l2) = product[i], product[i + 1]
+        if not is_regular_pair(d1, l1, d2, l2):
+            break
+    else:
+        return {product: Fraction(1)}
+    if len(product) == 2:
+        out = straighten_pair(d1, l1, d2, l2)
+    else:
+        out = {}
+        head, tail = product[:i], product[i + 2 :]
+        for pair, c in straighten_product(product[i : i + 2], memo).items():
+            rest = straighten_product(canonical_product(head + pair + tail), memo)
+            for q, cq in rest.items():
+                out[q] = out.get(q, Fraction(0)) + c * cq
+        out = {q: c for q, c in out.items() if c}
+    memo[product] = out
+    return out
 
 
 def alternating_identity_residual(n: int, m: int, p: int, lp: int) -> Polynomial:

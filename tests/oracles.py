@@ -3,8 +3,9 @@
 These deliberately take different routes than the library: truncated series
 exponentiation instead of the closed multiplicity formula, an explicit
 sum-over-derivative-pairs operator instead of the per-monomial loop, Leibniz
-permanent-style determinants instead of Faddeev-LeVerrier, and Newton's
-recurrence for the complete symmetric functions.
+permanent-style determinants instead of Faddeev-LeVerrier, Newton's
+recurrence for the complete symmetric functions, and the monomial route
+through the expansion matrix for the product-basis matrix of T.
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from math import factorial
 
 from hypothesis import strategies as st
 
-from fockspectra import Polynomial, monomial, partial_derivative, monomial_basis, x
+from fockspectra import (
+    Polynomial,
+    apply_t,
+    expand_in_gbasis,
+    g_product_expand,
+    monomial,
+    monomial_basis,
+    partial_derivative,
+    s_basis,
+    x,
+)
 
 # --- truncated power series with Polynomial coefficients (index = z-degree) --
 
@@ -109,6 +120,14 @@ def apply_t_reference(f: Polynomial) -> Polynomial:
         if not dd.is_zero():
             out = out + xx * dd
     return out / 2
+
+
+def gbasis_t_matrix_reference(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Product-basis matrix of T by the monomial route: expand each basis
+    product, apply T to the monomials, and solve against the expansion matrix."""
+    products = s_basis(d, ell)
+    cols = [expand_in_gbasis(apply_t(g_product_expand(p)), d, ell) for p in products]
+    return tuple(tuple(col[i] for col in cols) for i in range(len(products)))
 
 
 # --- determinant-based characteristic polynomial ----------------------------

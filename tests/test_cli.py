@@ -107,6 +107,21 @@ def test_hooks_output(capsys):
     assert payload["result"]["entries"][0] == {"hook": 12, "leg": 6, "increment": 1}
 
 
+def test_hooks_long_first_row():
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "fockspectra", "hooks", "99999999999", "--json"],
+        capture_output=True,
+        text=True,
+        cwd=Path(fockspectra.__file__).parents[1],
+        timeout=2,
+    )
+    assert time.perf_counter() - start < 2
+    assert result.returncode == 0
+    entries = json.loads(result.stdout)["result"]["entries"]
+    assert entries == [{"hook": 99999999999, "leg": 1, "increment": 1}]
+
+
 def test_tmatrix_output(capsys):
     code, out, _ = run_cli(capsys, "tmatrix", "4", "2", "--csv")
     assert code == 0

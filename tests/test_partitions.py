@@ -60,6 +60,7 @@ def test_hook_leg_profile_flagship_example():
 def test_hook_leg_profile_degenerate_shapes():
     assert hook_leg_profile((5,)) == (HookLeg(5, 1, 1),)
     assert hook_leg_profile((1, 1, 1)) == (HookLeg(3, 3, 3),)
+    assert hook_leg_profile((99999999999,)) == (HookLeg(99999999999, 1, 1),)
 
 
 def test_hook_leg_profile_rejects_bad_input():

@@ -24,7 +24,7 @@ from fockspectra import (
     verify_triangular,
     x,
 )
-from fockspectra import linalg
+from fockspectra import linalg, spectral, transfer
 
 import oracles
 
@@ -55,6 +55,41 @@ def test_t_matrix_rejects_bad_input():
         t_matrix(2, 4)
     with pytest.raises(ValueError):
         t_matrix(4, 2, basis="fourier")
+
+
+def test_gbasis_matrix_matches_the_monomial_route():
+    components = [(d, ell) for d in range(1, 15) for ell in range(1, d + 1)] + [(19, 6)]
+    for d, ell in components:
+        entries = t_matrix(d, ell, basis="gbasis").entries
+        assert entries == oracles.gbasis_t_matrix_reference(d, ell), (d, ell)
+
+
+def test_spectrum_takes_the_structural_route(monkeypatch):
+    def monomial_route(*args):
+        raise AssertionError("spectrum applied T to monomials")
+
+    pairs, solves = [], []
+    real_pair, real_solve = transfer.straighten_pair, transfer.expand_in_gbasis
+
+    def straighten_pair(*args):
+        pairs.append(args)
+        try:
+            return real_pair(*args)
+        finally:
+            pairs.pop()
+
+    def expand_in_gbasis(f, d, ell):
+        assert pairs, "spectrum solved against E outside straighten_pair"
+        solves.append((d, ell))
+        return real_solve(f, d, ell)
+
+    monkeypatch.setattr(spectral, "apply_t", monomial_route)
+    monkeypatch.setattr(transfer, "straighten_pair", straighten_pair)
+    monkeypatch.setattr(transfer, "expand_in_gbasis", expand_in_gbasis)
+    spectral._t_matrix_entries.cache_clear()
+    assert spectrum(12, 4).eigenvalues == (1, 3, 3, 5, 6, 7, 7, 10, 10, 10, 13, 15, 17, 19, 30)
+    # one solve per distinct irregular pair, fewer than the 15 basis products
+    assert 0 < solves.count((12, 4)) < 15
 
 
 def test_verify_triangular_examples():

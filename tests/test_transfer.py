@@ -16,12 +16,14 @@ from fockspectra import (
     inner_product,
     is_regular_pair,
     monomial_basis,
+    s_basis,
     spanning_products,
     straighten_pair,
     x,
 )
 from fockspectra.genfun import expand_combination
 from fockspectra.partitions import pair_sort_key
+from fockspectra.transfer import straighten_product
 
 import oracles
 
@@ -153,6 +155,30 @@ def test_straighten_output_is_regular_and_precedes_input():
                 assert is_regular_pair(a1, b1, a2, b2), product
             lead = product[0]
             assert pair_sort_key(lead) < pair_sort_key((d1, l1)), (product, (d1, l1))
+
+
+def test_straighten_product_round_trip():
+    count = 0
+    for d in range(1, 11):
+        for ell in range(1, d + 1):
+            basis = set(s_basis(d, ell))
+            for p in spanning_products(d, ell):
+                comb = straighten_product(p, {})
+                assert set(comb) <= basis, p
+                assert expand_combination(comb) == g_product_expand(p), p
+                count += 1
+    assert count == 1123
+
+
+def test_straighten_product_shares_its_memo():
+    memo = {}
+    product = ((2, 1), (2, 1), (2, 1))
+    comb = straighten_product(product, memo)
+    assert memo[product] == comb
+    assert memo[((2, 1), (2, 1))] == straighten_pair(2, 1, 2, 1)
+    assert straighten_product(product, memo) is comb
+    assert straighten_product(((4, 1), (1, 1)), memo) == {((4, 1), (1, 1)): 1}
+    assert ((4, 1), (1, 1)) not in memo
 
 
 def test_alternating_identity_residual_base_case():
