@@ -222,88 +222,67 @@ def _run_tmatrix(args) -> tuple[dict, str, Optional[str]]:
 
 def _verify_checks(max_d: int) -> list[dict]:
     pairs = [(d, ell) for d in range(1, max_d + 1) for ell in range(1, d + 1)]
-    checks: list[dict] = []
-
-    def record(name: str, cases: int, failures: list[str]) -> None:
-        checks.append(
-            {
-                "name": name,
-                "status": "pass" if not failures else "fail",
-                "cases": cases,
-                "failures": failures,
-            }
-        )
-
-    failures = []
-    for d, ell in pairs:
-        dim = partitions.count_partitions(d, ell)
-        if not len(spectral.s_basis(d, ell)) == len(monomial_basis(d, ell)) == dim:
-            failures.append(f"({d},{ell})")
-    record("dimension agreement", len(pairs), failures)
-
-    failures = []
-    for d, ell in pairs:
-        ok, _ = spectral.verify_triangular(d, ell)
-        if not ok:
-            failures.append(f"({d},{ell})")
-    record("triangularity", len(pairs), failures)
-
     eigenvalues = {}  # of each component whose spectrum did not raise
-    failures = []
-    for d, ell in pairs:
+
+    def component_check(holds):  # a failure names only the component
+        return lambda d, ell: None if holds(d, ell) else f"({d},{ell})"
+
+    def same_dimension(d, ell):
+        dim = partitions.count_partitions(d, ell)
+        return len(spectral.s_basis(d, ell)) == len(monomial_basis(d, ell)) == dim
+
+    def spectrum(d, ell):
         try:
             eigenvalues[d, ell] = spectral.spectrum(d, ell).eigenvalues
             if not spectral.char_poly_check(d, ell):
-                failures.append(f"({d},{ell}) characteristic polynomial")
+                return f"({d},{ell}) characteristic polynomial"
         except ConsistencyError as e:
-            failures.append(f"({d},{ell}) {e}")
-    record("spectrum consistency", len(pairs), failures)
+            return f"({d},{ell}) {e}"
 
-    failures = []
-    for d, ell in pairs:
-        if not spectral.verify_self_adjoint(d, ell):
-            failures.append(f"({d},{ell})")
-    record("self-adjointness", len(pairs), failures)
-
-    failures = []
-    for d, ell in pairs:
+    def dominant(d, ell):
         lam = spectral.dominant_eigenvalue(d, ell)
         g = genfun.g_poly(d, ell)
         if transfer.apply_t(g) != g * lam:
-            failures.append(f"({d},{ell}) eigenfunction")
-        elif (d, ell) not in eigenvalues or max(eigenvalues[d, ell]) != lam:
-            failures.append(f"({d},{ell}) maximum")
-    record("dominant eigenvalue", len(pairs), failures)
+            return f"({d},{ell}) eigenfunction"
+        if (d, ell) not in eigenvalues or max(eigenvalues[d, ell]) != lam:
+            return f"({d},{ell}) maximum"
 
-    failures = []
-    for d, ell in pairs:
-        if (d, ell) not in eigenvalues or (0 in eigenvalues[d, ell]) != (d >= ell * ell):
-            failures.append(f"({d},{ell})")
-    record("zero-eigenvalue law", len(pairs), failures)
+    def zero_law(d, ell):
+        return (d, ell) in eigenvalues and (0 in eigenvalues[d, ell]) == (d >= ell * ell)
 
-    failures = []
-    products = 0
-    for d, ell in pairs:
-        for p in genfun.spanning_products(d, ell):
-            products += 1
-            direct = transfer.apply_t(genfun.g_product_expand(p))
-            structural = genfun.expand_combination(transfer.apply_t_structural(p))
-            if direct != structural:
-                failures.append(f"product {gproduct_str(p)}")
-    record("structural action agreement", products, failures)
+    def structural(p):
+        direct = transfer.apply_t(genfun.g_product_expand(p))
+        if direct != genfun.expand_combination(transfer.apply_t_structural(p)):
+            return f"product {gproduct_str(p)}"
 
-    failures = []
-    cases = 0
-    for d in range(1, max_d + 1, 2):
-        n = (d - 1) // 2
-        for m in range(1, n + 1):
-            for p in range(1, m + 1):
-                for lp in range(2 * p - 1, 2 * m):
-                    cases += 1
-                    if not transfer.alternating_identity_residual(n, m, p, lp).is_zero():
-                        failures.append(f"(n={n},m={m},p={p},lp={lp})")
-    record("alternating identity residuals", cases, failures)
+    def alternating(n, m, p, lp):
+        if not transfer.alternating_identity_residual(n, m, p, lp).is_zero():
+            return f"(n={n},m={m},p={p},lp={lp})"
 
+    products = ((p,) for d, ell in pairs for p in genfun.spanning_products(d, ell))
+    residuals = (
+        (n, m, p, lp)
+        for n in range((max_d + 1) // 2)  # n = (d - 1) // 2 for each odd d <= max_d
+        for m in range(1, n + 1)
+        for p in range(1, m + 1)
+        for lp in range(2 * p - 1, 2 * m)
+    )
+    table = [
+        ("dimension agreement", pairs, component_check(same_dimension)),
+        ("triangularity", pairs, component_check(lambda *c: spectral.verify_triangular(*c)[0])),
+        ("spectrum consistency", pairs, spectrum),
+        ("self-adjointness", pairs, component_check(spectral.verify_self_adjoint)),
+        ("dominant eigenvalue", pairs, dominant),
+        ("zero-eigenvalue law", pairs, component_check(zero_law)),
+        ("structural action agreement", products, structural),
+        ("alternating identity residuals", residuals, alternating),
+    ]
+    checks = []
+    for name, cases, failure in table:  # cases may be generators, consumed once
+        results = [failure(*case) for case in cases]
+        failures = [f for f in results if f]
+        status = "pass" if not failures else "fail"
+        checks.append({"name": name, "status": status, "cases": len(results), "failures": failures})
     return checks
 
 

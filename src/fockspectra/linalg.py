@@ -5,7 +5,9 @@ dense routines take lists of lists; rref chooses pivots among the nonzero
 candidates by smallest numerator/denominator size, which only affects the
 amount of arithmetic, never the result.  lu_factor/lu_solve keep rows as
 dicts that never store a zero, for square systems solved many times against
-one sparse matrix.
+one sparse matrix.  The package itself calls only lu_factor/lu_solve,
+char_poly and poly_from_roots; the dense elimination routines (rref, rank,
+invert, null_space) serve the tests as references.
 """
 
 from __future__ import annotations

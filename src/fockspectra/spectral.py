@@ -9,13 +9,14 @@ without expanding products into monomials: each column is the closed-form
 action of T on a basis product, with every inadmissible product in it
 straightened into the basis (transfer.straighten_product).  The expansion
 matrix E is solved against only inside straighten_pair, on the component of
-each irregular pair.  Eigenvalues are
-computed from the index sequences by
+each irregular pair.  Eigenvalues are computed from the index sequences by
 
     lambda = 1/2 * sum_i (l_i - 1)(2 d_i - l_i)
 
-and cross-checked against that diagonal, and independently against the
-characteristic polynomial of the monomial-basis matrix.
+and certified against that diagonal position by position, and independently
+against the characteristic polynomial of the monomial-basis matrix.  The
+eigenvectors are read off the certified triangular matrix by
+back-substitution, one per basis position.
 """
 
 from __future__ import annotations
@@ -152,32 +153,36 @@ def has_zero_eigenvalue(d: int, ell: int) -> bool:
     return d >= ell * ell
 
 
-def spectrum(d: int, ell: int, with_eigenvectors: bool = False) -> SpectrumReport:
-    """Exact spectrum on the (d, ell) component, eigenvalues ascending.
-
-    The formula values are cross-checked against the diagonal of the
-    triangular matrix; any disagreement raises ConsistencyError.
-    """
+def _certified_spectrum(d: int, ell: int) -> tuple[tuple[GProduct, ...], list[int], list[int]]:
+    """The basis, the formula eigenvalue at each basis position, and the
+    positions in spectrum order, once the product-basis matrix is certified
+    upper triangular with exactly those values on its diagonal."""
     _require_component(d, ell)
     basis = s_basis(d, ell)
     values = [sequence_eigenvalue(p) for p in basis]
     ok, diag = verify_triangular(d, ell)
     if not ok:
         raise ConsistencyError(f"matrix on component ({d},{ell}) is not upper triangular")
-    if sorted(values) != sorted(diag):
+    if values != list(diag):
         raise ConsistencyError(
-            f"eigenvalue formula {sorted(values)} disagrees with "
-            f"matrix diagonal {sorted(diag)} on component ({d},{ell})"
+            f"eigenvalue formula {values} disagrees with "
+            f"matrix diagonal {list(diag)} on component ({d},{ell})"
         )
-    order = sorted(range(len(basis)), key=lambda i: (values[i], i))
-    vectors: dict[int, list[Polynomial]] = {}
+    return basis, values, sorted(range(len(basis)), key=lambda i: (values[i], i))
+
+
+def spectrum(d: int, ell: int, with_eigenvectors: bool = False) -> SpectrumReport:
+    """Exact spectrum on the (d, ell) component, eigenvalues ascending.
+
+    The formula values are cross-checked against the diagonal of the
+    triangular matrix, position by position; any disagreement raises
+    ConsistencyError.
+    """
+    basis, values, order = _certified_spectrum(d, ell)
+    vectors = [None] * len(basis)
     if with_eigenvectors:
-        for fn in eigenbasis(d, ell):
-            vectors.setdefault(fn.eigenvalue, []).append(fn.polynomial)
-    entries = []
-    for i in order:
-        vec = vectors[values[i]].pop(0) if with_eigenvectors else None
-        entries.append(SpectrumEntry(values[i], basis[i], vec))
+        vectors = [fn.polynomial for fn in eigenbasis(d, ell)]
+    entries = tuple(SpectrumEntry(values[i], basis[i], vec) for i, vec in zip(order, vectors))
     dominant = dominant_eigenvalue(d, ell)
     if max(values) != dominant:
         raise ConsistencyError(
@@ -186,31 +191,35 @@ def spectrum(d: int, ell: int, with_eigenvectors: bool = False) -> SpectrumRepor
     zero_law = has_zero_eigenvalue(d, ell)
     if (0 in values) != zero_law:
         raise ConsistencyError(f"zero-eigenvalue law violated on component ({d},{ell})")
-    return SpectrumReport(d=d, ell=ell, entries=tuple(entries), dominant=dominant, has_zero=zero_law)
+    return SpectrumReport(d=d, ell=ell, entries=entries, dominant=dominant, has_zero=zero_law)
 
 
 def eigenbasis(d: int, ell: int) -> tuple[Eigenfunction, ...]:
-    """Exact eigenvectors: for each eigenvalue, a kernel basis of (M - lambda I)
-    on the product-basis matrix, expanded to polynomials."""
-    _require_component(d, ell)
-    basis = s_basis(d, ell)
-    entries = _t_matrix_entries(d, ell, "gbasis")
-    n = len(entries)
-    values = [sequence_eigenvalue(p) for p in basis]
+    """Exact eigenvectors in spectrum's order, by back-substitution on the
+    certified triangular product-basis matrix U, expanded to polynomials.
+
+    The vector for a position k with U_kk = lambda is 1 at k and 0 at the
+    other lambda-positions and after k; each earlier entry i is
+    sum_{i<j<=k} U_ij v_j / (lambda - U_ii).  These are the reduced kernel
+    vectors of U - lambda I.  A nonzero residual on a row with U_ii = lambda
+    means lambda is defective and raises ConsistencyError.
+    """
+    basis, values, order = _certified_spectrum(d, ell)
+    u = _t_matrix_entries(d, ell, "gbasis")
     out = []
-    for lam in sorted(set(values)):
-        shifted = [
-            [entries[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        kernel = linalg.null_space(shifted)
-        if len(kernel) != values.count(lam):
-            raise ConsistencyError(
-                f"eigenvalue {lam} on ({d},{ell}): kernel dimension {len(kernel)} "
-                f"!= multiplicity {values.count(lam)}"
-            )
-        for vec in kernel:
-            poly = expand_combination({p: c for c, p in zip(vec, basis) if c})
-            out.append(Eigenfunction(lam, tuple(vec), poly))
+    for k in order:
+        lam = values[k]
+        vec = [Fraction(0)] * len(basis)
+        vec[k] = Fraction(1)
+        for i in reversed(range(k)):
+            row = u[i]
+            s = sum((row[j] * vec[j] for j in range(i + 1, k + 1) if row[j] and vec[j]), Fraction(0))
+            if values[i] != lam:
+                vec[i] = s / (lam - values[i])
+            elif s:
+                raise ConsistencyError(f"eigenvalue {lam} on ({d},{ell}) is defective")
+        poly = expand_combination({p: c for c, p in zip(vec, basis) if c})
+        out.append(Eigenfunction(lam, tuple(vec), poly))
     return tuple(out)
 
 

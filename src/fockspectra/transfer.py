@@ -129,9 +129,8 @@ def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
     with g(0,0)) that all precede the input in the "larger degree first,
     then smaller length" order.
     """
-    for d, ell in ((d1, l1), (d2, l2)):
-        if ell < 1 or g_value_is_zero(d, ell):
-            raise ValueError(f"factor g({d},{ell}) is not a nonzero generator")
+    if len(nonzero_factors(((d1, l1), (d2, l2)))) < 2:  # a zero factor raises
+        raise ValueError("factor g(0,0) is not a nonzero generator")
     if is_regular_pair(d1, l1, d2, l2):
         return {((d1, l1), (d2, l2)): Fraction(1)}
     total_d, total_l = d1 + d2, l1 + l2

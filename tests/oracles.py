@@ -4,8 +4,9 @@ These deliberately take different routes than the library: truncated series
 exponentiation instead of the closed multiplicity formula, an explicit
 sum-over-derivative-pairs operator instead of the per-monomial loop, Leibniz
 permanent-style determinants instead of Faddeev-LeVerrier, Newton's
-recurrence for the complete symmetric functions, and the monomial route
-through the expansion matrix for the product-basis matrix of T.
+recurrence for the complete symmetric functions, the monomial route
+through the expansion matrix for the product-basis matrix of T, and a dense
+null space per eigenvalue for its eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from fockspectra import (
     apply_t,
     expand_in_gbasis,
     g_product_expand,
+    linalg,
     monomial,
     monomial_basis,
     partial_derivative,
     s_basis,
+    t_matrix,
     x,
 )
 
@@ -128,6 +131,19 @@ def gbasis_t_matrix_reference(d: int, ell: int) -> tuple[tuple[Fraction, ...], .
     products = s_basis(d, ell)
     cols = [expand_in_gbasis(apply_t(g_product_expand(p)), d, ell) for p in products]
     return tuple(tuple(col[i] for col in cols) for i in range(len(products)))
+
+
+def eigenbasis_reference(d: int, ell: int) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """(eigenvalue, coordinates) pairs: for each distinct diagonal value of the
+    product-basis matrix U, ascending, the kernel basis of U - lambda I that
+    dense Gauss-Jordan elimination gives."""
+    u = t_matrix(d, ell).entries
+    n = len(u)
+    out = []
+    for lam in sorted({u[i][i] for i in range(n)}):
+        shifted = [[u[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
+        out.extend((lam, tuple(vec)) for vec in linalg.null_space(shifted))
+    return out
 
 
 # --- determinant-based characteristic polynomial ----------------------------

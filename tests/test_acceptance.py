@@ -84,10 +84,7 @@ def test_criterion_03_basis_dimensions_and_rank():
     _report(3, "basis counts and exact rank, d <= 14")
 
 
-def test_criterion_04_triangularity_formula_and_char_poly():
-    spectral._t_matrix_entries.cache_clear()
-    genfun._expansion_lu.cache_clear()
-    genfun._expand_canonical.cache_clear()
+def test_criterion_04_triangularity_formula_and_char_poly(cold_caches):
     start = time.monotonic()
     for d in range(1, 13):
         for ell in range(1, d + 1):

@@ -200,6 +200,16 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_straighten_factor_errors(capsys):
+    # a zero factor is refused by the package's one factor validator
+    code, _, err = run_cli(capsys, "straighten", "1", "2", "1", "1")
+    assert (code, err) == (2, "error: factor g(1,2) is identically zero\n")
+    # the unit g(0,0) is a valid factor elsewhere, but not one of a pair
+    code, out, _ = run_cli(capsys, "straighten", "0", "0", "1", "1", "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "factor g(0,0) is not a nonzero generator"
+
+
 def test_usage_error_json_envelope(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "2", "4", "--json")
     assert code == 2

@@ -85,10 +85,9 @@ def test_lu_agrees_with_dense_inverse(rows):
         assert linalg.lu_solve(factors, b) == linalg.mat_vec(inverse, b)
 
 
-def test_singular_expansion_matrix_is_a_consistency_error(monkeypatch):
+def test_singular_expansion_matrix_is_a_consistency_error(monkeypatch, cold_caches):
     singular = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
     monkeypatch.setattr(genfun, "expansion_matrix", lambda d, ell: singular)
-    genfun._expansion_lu.cache_clear()
     with pytest.raises(ConsistencyError, match=r"expansion matrix for component \(4,2\) is singular"):
         genfun.expand_in_gbasis(g_product_expand([(4, 2)]), 4, 2)
     # failures are not cached, so nothing built from the patched matrix remains

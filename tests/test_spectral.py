@@ -24,7 +24,9 @@ from fockspectra import (
     verify_triangular,
     x,
 )
-from fockspectra import linalg, spectral, transfer
+from fockspectra import cli, linalg, spectral, transfer
+from fockspectra.errors import ConsistencyError
+from fockspectra.genfun import expand_combination
 
 import oracles
 
@@ -64,7 +66,7 @@ def test_gbasis_matrix_matches_the_monomial_route():
         assert entries == oracles.gbasis_t_matrix_reference(d, ell), (d, ell)
 
 
-def test_spectrum_takes_the_structural_route(monkeypatch):
+def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
     def monomial_route(*args):
         raise AssertionError("spectrum applied T to monomials")
 
@@ -86,10 +88,20 @@ def test_spectrum_takes_the_structural_route(monkeypatch):
     monkeypatch.setattr(spectral, "apply_t", monomial_route)
     monkeypatch.setattr(transfer, "straighten_pair", straighten_pair)
     monkeypatch.setattr(transfer, "expand_in_gbasis", expand_in_gbasis)
-    spectral._t_matrix_entries.cache_clear()
     assert spectrum(12, 4).eigenvalues == (1, 3, 3, 5, 6, 7, 7, 10, 10, 10, 13, 15, 17, 19, 30)
     # one solve per distinct irregular pair, fewer than the 15 basis products
     assert 0 < solves.count((12, 4)) < 15
+
+
+def test_cold_caches_finds_the_package_caches(cold_caches):
+    names = {f"{c.__module__}.{c.__name__}" for c in cold_caches}
+    assert {
+        "fockspectra.spectral._t_matrix_entries",
+        "fockspectra.genfun._expansion_lu",
+        "fockspectra.genfun._expand_canonical",
+        "fockspectra.cli.build_parser",
+    } <= names
+    assert all(c.cache_info().currsize == 0 for c in cold_caches)
 
 
 def test_verify_triangular_examples():
@@ -186,6 +198,80 @@ def test_eigenbasis_is_exact_and_complete():
                 image = linalg.mat_vec([list(r) for r in m], list(fn.coords))
                 assert image == [fn.eigenvalue * c for c in fn.coords]
                 assert apply_t(fn.polynomial) == fn.polynomial * fn.eigenvalue
+
+
+def test_eigenbasis_matches_the_null_space_route():
+    components = [(d, ell) for d in range(1, 15) for ell in range(1, d + 1)] + [(16, 8)]
+    for d, ell in components:
+        reference = oracles.eigenbasis_reference(d, ell)
+        assert [(fn.eigenvalue, fn.coords) for fn in eigenbasis(d, ell)] == reference, (d, ell)
+        basis = s_basis(d, ell)
+        expected = [
+            (lam, expand_combination({p: c for p, c in zip(basis, coords) if c}))
+            for lam, coords in reference
+        ]
+        entries = spectrum(d, ell, with_eigenvectors=True).entries
+        assert [(e.eigenvalue, e.eigenvector) for e in entries] == expected, (d, ell)
+
+
+def _edit_flagship_matrix(monkeypatch, edit):
+    """Serve the (12,4) product-basis matrix with edit applied to its rows."""
+    real = spectral._t_matrix_entries
+
+    def patched(d, ell, basis):
+        entries = real(d, ell, basis)
+        if (d, ell, basis) != (12, 4, "gbasis"):
+            return entries
+        rows = [list(row) for row in entries]
+        edit(rows)
+        return tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(spectral, "_t_matrix_entries", patched)
+
+
+def test_the_certificate_guards_the_back_substitution(monkeypatch):
+    values = [sequence_eigenvalue(p) for p in s_basis(12, 4)]
+    i, k = [j for j, v in enumerate(values) if v == 3]
+
+    def link(rows):  # U_ik couples the two eigenvalue-3 positions: a Jordan block
+        rows[i][k] += 1
+
+    _edit_flagship_matrix(monkeypatch, link)
+    assert spectrum(12, 4).eigenvalues.count(3) == 2  # the diagonal is still right
+    with pytest.raises(ConsistencyError, match=r"eigenvalue 3 on \(12,4\) is defective"):
+        eigenbasis(12, 4)
+    monkeypatch.undo()
+
+    def below(rows):
+        rows[k][i] = Fraction(1)
+
+    _edit_flagship_matrix(monkeypatch, below)
+    with pytest.raises(ConsistencyError, match="not upper triangular"):
+        eigenbasis(12, 4)
+    monkeypatch.undo()
+
+    a = 0
+    b = next(j for j, v in enumerate(values) if v != values[a])
+
+    def swap(rows):  # the same multiset of diagonal values at the wrong positions
+        rows[a][a], rows[b][b] = rows[b][b], rows[a][a]
+
+    _edit_flagship_matrix(monkeypatch, swap)
+    with pytest.raises(ConsistencyError, match="disagrees with matrix diagonal"):
+        spectrum(12, 4)
+    with pytest.raises(ConsistencyError, match="disagrees with matrix diagonal"):
+        eigenbasis(12, 4)
+
+
+def test_eigenvectors_need_no_dense_elimination(monkeypatch, cold_caches, capsys):
+    def dense(*args):
+        raise AssertionError("dense elimination on the eigenvector path")
+
+    monkeypatch.setattr(linalg, "null_space", dense)
+    monkeypatch.setattr(linalg, "rref", dense)
+    assert len(eigenbasis(12, 4)) == 15
+    assert cli.main(["spectrum", "12", "4", "--eigenvectors", "--json"]) == 0
+    assert '"eigenvector"' in capsys.readouterr().out
 
 
 def test_orthogonal_eigenbasis_small_components():
