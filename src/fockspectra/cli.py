@@ -28,6 +28,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 DEFAULT_MAX_DIM = 2000
+TABLE_CELLS = 10**7  # partition-table cells a guard fills before a closed-form bound may refuse
+RESOURCE_ERRORS = (MemoryError, OverflowError, RecursionError)
 
 
 class UsageError(Exception):
@@ -66,11 +68,31 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _dimension(d: int, ell: int, max_dim: int, cells: int) -> tuple[int, bool]:
+    """The dimension of component (d, ell) and whether it is exact.
+
+    With n = d - ell, partitions of n into parts <= 1, 2 or 3 number 1,
+    n // 2 + 1 and round((n + 3)^2 / 12).  The first two count ell = 1, 2
+    exactly.  The third bounds larger ell from below, and stands in for the
+    count when it is above max_dim and counting would fill more than
+    TABLE_CELLS table cells.
+    """
+    n = d - ell
+    if 1 <= ell <= 2 and n >= 0:
+        return (1 if ell == 1 else n // 2 + 1), True
+    bound = ((n + 3) ** 2 + 6) // 12
+    if ell >= 3 and n >= 0 and cells > TABLE_CELLS and bound > max_dim:
+        return bound, False
+    return partitions.count_partitions(d, ell), True
+
+
 def _guard_dimension(d: int, ell: int, max_dim: int) -> None:
-    dim = partitions.count_partitions(d, ell)
+    n = d - ell
+    dim, exact = _dimension(d, ell, max_dim, n * min(ell, n))
     _require(
         dim <= max_dim,
-        f"component ({d},{ell}) has dimension {dim}, above the --max-dim limit {max_dim}",
+        f"component ({d},{ell}) has dimension {'' if exact else 'at least '}{dim}, "
+        f"above the --max-dim limit {max_dim}",
     )
 
 
@@ -287,16 +309,21 @@ def _verify_checks(max_d: int) -> list[dict]:
 
 
 def _run_verify(args) -> tuple[dict, str, Optional[str]]:
-    _require(args.max_d >= 1, f"--max-d must be >= 1, got {args.max_d}")
-    # partitions of (d, ell) embed in (d + 1, ell) by adding 1 to the largest part, so use d = max_d
-    worst = max(partitions.count_partitions(args.max_d, ell) for ell in range(1, args.max_d + 1))
+    d = args.max_d
+    _require(d >= 1, f"--max-d must be >= 1, got {d}")
+    # partitions of (d, ell) embed in (d + 1, ell) by adding 1 to the largest part, so use
+    # d = max_d; counting every ell there fills about d^3 / 4 table cells, so (d, 3) may refuse
+    worst, exact = _dimension(d, min(d, 3), args.max_dim, d**3 // 4)
+    if exact:
+        worst = max(partitions.count_partitions(d, ell) for ell in range(1, d + 1))
     _require(
         worst <= args.max_dim,
-        f"sweep up to d={args.max_d} needs dimension {worst}, above --max-dim {args.max_dim}",
+        f"sweep up to d={d} needs dimension {'' if exact else 'at least '}{worst}, "
+        f"above --max-dim {args.max_dim}",
     )
-    checks = _verify_checks(args.max_d)
+    checks = _verify_checks(d)
     all_passed = all(c["status"] == "pass" for c in checks)
-    result = {"max_d": args.max_d, "checks": checks, "all_passed": all_passed}
+    result = {"max_d": d, "checks": checks, "all_passed": all_passed}
     lines = []
     for c in checks:
         status = "PASS" if c["status"] == "pass" else "FAIL"
@@ -358,18 +385,29 @@ def _params_of(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # integer arguments keep Python's digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact results print in full, however many digits they have
+    try:
+        return _answer(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _answer(args: argparse.Namespace) -> int:
     envelope = {"command": args.command, "params": _params_of(args), "status": "ok"}
     try:
         result, human, csv_text = args.run(args)
-    except (UsageError, ConsistencyError) as e:
+    except (UsageError, ConsistencyError, *RESOURCE_ERRORS) as e:
+        text = str(e)
+        if isinstance(e, RESOURCE_ERRORS):
+            text = ": ".join(filter(None, ["resource error", type(e).__name__, text]))
         if args.json:
-            envelope.update(status="fail", error=str(e))
+            envelope.update(status="fail", error=text)
             print(json.dumps(envelope, indent=2))
         else:
-            print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(e, UsageError) else EXIT_FAIL
+            print(f"error: {text}", file=sys.stderr)
+        return EXIT_FAIL if isinstance(e, ConsistencyError) else EXIT_USAGE
     if args.csv:
         if csv_text is None:
             print("error: --csv is only available for spectrum and tmatrix", file=sys.stderr)

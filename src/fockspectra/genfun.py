@@ -8,10 +8,13 @@ Extracting that coefficient directly gives the closed form used here:
 
 with g(0, 0) = 1 and g(d, l) = 0 unless d >= l >= 1.  Products of these
 generators indexed by admissible sequences form a basis of each bigraded
-component.  expand_in_gbasis computes exact coordinates in that basis by
-solving E c = v, where v holds the monomial coefficients and column j of the
-expansion matrix E those of the j-th basis product; E is factorised once per
-component by a sparse LU (linalg.lu_factor) and solved once per vector.
+component.  Expanded products live in one store, _expand_canonical, keyed by
+the canonical factor sequence; a generator is its one-factor product, and
+g_poly returns that very object.  expand_in_gbasis computes exact
+coordinates in that basis by solving E c = v, where v holds the monomial
+coefficients and column j of the expansion matrix E those of the j-th basis
+product; E is factorised once per component by a sparse LU
+(linalg.lu_factor) and solved once per vector.
 Inside the package only transfer.straighten_pair solves against E; spectrum
 builds the product-basis matrix of T without it.
 """
@@ -37,17 +40,12 @@ def g_value_is_zero(d: int, ell: int) -> bool:
     return not (d == ell == 0 or d >= ell >= 1)
 
 
-@lru_cache(maxsize=None)
 def g_poly(d: int, ell: int) -> Polynomial:
+    """The generator g(d, l): 0 when it vanishes, otherwise the one-factor
+    product itself, so every generator is stored once, in _expand_canonical."""
     if g_value_is_zero(d, ell):
         return Polynomial.zero()
-    if d == 0:
-        return Polynomial.one()
-    terms = {}
-    for parts in partitions_with_length(d, ell):
-        m = partition_monomial(parts)
-        terms[m] = Fraction(1, mono_norm_sq(m))
-    return Polynomial(terms)
+    return g_product_expand([(d, ell)])
 
 
 def nonzero_factors(factors: Iterable[GIndex]) -> list[GIndex]:
@@ -69,11 +67,15 @@ def canonical_product(factors: Iterable[GIndex]) -> GProduct:
     return tuple(sorted(nonzero_factors(factors), key=pair_sort_key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # read by every later g_poly and g_product_expand of the same product
 def _expand_canonical(product: GProduct) -> Polynomial:
+    if len(product) == 1:
+        (d, ell), = product
+        monos = (partition_monomial(parts) for parts in partitions_with_length(d, ell))
+        return Polynomial({m: Fraction(1, mono_norm_sq(m)) for m in monos})
     out = Polynomial.one()
-    for d, ell in product:
-        out = out * g_poly(d, ell)
+    for factor in product:
+        out = out * _expand_canonical((factor,))
     return out
 
 
@@ -142,7 +144,7 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(f.coefficient(m) for f in cols) for m in monos)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # read by every later expand_in_gbasis on the component
 def _expansion_lu(d: int, ell: int) -> linalg.LUFactors:
     try:
         return linalg.lu_factor(expansion_matrix(d, ell))

@@ -36,7 +36,6 @@ def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-@lru_cache(maxsize=None)
 def count_partitions(d: int, ell: int) -> int:
     """Number of partitions of d with exactly ell parts."""
     if d < 0 or ell < 0:
@@ -131,7 +130,7 @@ def profile_to_partition(seq: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return check_partition(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # read again by every straighten_pair landing on the component
 def admissible_sequences(d: int, ell: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All admissible sequences with hook sum d and increment sum ell.
 
@@ -152,7 +151,7 @@ def admissible_sequences(d: int, ell: int) -> tuple[tuple[tuple[int, int], ...],
                 if d1 == rem_d and l1 == rem_l:
                     if d1 >= l1:  # last entry: hook at least leg
                         out.append(tuple(prefix + [(d1, l1)]))
-                elif d1 < rem_d and l1 < rem_l:
+                elif d1 < rem_d and l1 < rem_l and rem_d - d1 >= rem_l - l1:  # each d_i >= l_i
                     extend(prefix + [(d1, l1)], rem_d - d1, rem_l - l1, d1 - l1 - 1)
 
     extend([], d, ell, d)

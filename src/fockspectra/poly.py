@@ -20,7 +20,6 @@ The text forms of rationals (rational_str) and of signed sums such as
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -296,7 +295,6 @@ def inner_product(f: Polynomial, g: Polynomial) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def monomial_basis(d: int, ell: int) -> tuple[Monomial, ...]:
     """All monomials of weighted degree d and length ell, partition-decreasing.
 

@@ -98,7 +98,7 @@ def sequence_eigenvalue(sequence: GProduct) -> int:
     return twice // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # read again by t_matrix, spectrum, eigenbasis and the verify checks
 def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[Fraction, ...], ...]:
     if basis == "monomial":
         monos = monomial_basis(d, ell)

@@ -232,6 +232,65 @@ def test_resource_guard_on_a_deep_component(capsys):
     assert "dimension 1500" in payload["error"]
 
 
+def test_huge_components_are_refused_without_counting(capsys):
+    refusals = {
+        ("spectrum", "99999999999999999999", "2"):
+            "component (99999999999999999999,2) has dimension 49999999999999999999, "
+            "above the --max-dim limit 2000",
+        ("spectrum", "20000", "10000"):
+            "component (20000,10000) has dimension at least 8338334, above the --max-dim limit 2000",
+        ("gpoly", "99999999999999", "3", "--max-dim", "5"):
+            "component (99999999999999,3) has dimension at least 833333333333316666666666667, "
+            "above the --max-dim limit 5",
+        ("verify", "--max-d", "100000000000"):
+            "sweep up to d=100000000000 needs dimension at least 833333333333333333333, "
+            "above --max-dim 2000",
+    }
+    for argv, message in refusals.items():
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2
+        assert json.loads(out)["error"] == message
+
+
+def test_a_one_element_component_of_great_length(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "spectrum", "60", "60", "--json")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out)["result"]["eigenvalues"] == [1770]
+
+
+def test_a_coefficient_of_many_digits_prints_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "gpoly", "20000", "20000", "--json")
+    assert code == 0
+    [[monomial, coefficient]] = json.loads(out)["result"]["polynomial"]
+    assert monomial == [[1, 20000]]
+    assert coefficient.startswith("1/") and len(coefficient) == 2 + 77338  # 1/20000!
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "error, text",
+    [
+        (MemoryError(), "resource error: MemoryError"),
+        (OverflowError("int too large"), "resource error: OverflowError: int too large"),
+        (RecursionError("too deep"), "resource error: RecursionError: too deep"),
+    ],
+)
+def test_resource_errors_exit_2_with_an_envelope(capsys, monkeypatch, error, text):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spectral, "spectrum", exhausted)
+    code, out, err = run_cli(capsys, "spectrum", "4", "2", "--json")
+    assert (code, json.loads(out)["error"], err) == (2, text, "")
+    code, out, err = run_cli(capsys, "spectrum", "4", "2")
+    assert (code, out, err) == (2, "", f"error: {text}\n")
+
+
 def test_straighten_guards_the_component_it_solves_on(capsys):
     # an irregular pair is solved on (d1 + d2, l1 + l2), here of dimension 37338
     code, out, _ = run_cli(capsys, "straighten", "40", "20", "40", "20", "--json")

@@ -53,6 +53,12 @@ def test_g_terms_are_bihomogeneous():
                 assert bidegree(m) == (d, ell)
 
 
+def test_each_generator_is_stored_once():
+    for d, ell in [(0, 0), (1, 1), (4, 2), (9, 3), (12, 12)]:
+        assert g_poly(d, ell) is g_product_expand([(d, ell)])
+    assert g_poly(2, 3).is_zero()
+
+
 def test_product_expansion_examples():
     assert g_product_expand([(3, 1), (1, 1)]) == x(1) * x(3)
     assert g_product_expand([(2, 2), (3, 1)]) == x(1) ** 2 * x(3) / 2

@@ -135,6 +135,13 @@ def test_admissible_sequences_biject_with_partitions():
             assert diagrams == set(partitions_with_length(d, ell))
 
 
+def test_admissible_sequences_of_long_components():
+    # a branch that leaves less hook than length behind is never entered
+    assert admissible_sequences(60, 60) == (((60, 60),),)
+    seqs = admissible_sequences(40, 30)
+    assert {profile_to_partition(seq) for seq in seqs} == set(partitions_with_length(40, 30))
+
+
 @settings(max_examples=60)
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=7))
 def test_any_sorted_parts_round_trip(raw):
