@@ -178,7 +178,7 @@ def _run_gpoly(args) -> tuple[dict, str, Optional[str]]:
 
 
 def _run_straighten(args) -> tuple[dict, str, Optional[str]]:
-    regular = transfer.is_regular_pair(args.d1, args.l1, args.d2, args.l2)
+    regular = partitions.is_regular_pair(args.d1, args.l1, args.d2, args.l2)
     if not regular:  # an irregular pair is solved on the component of the product
         _guard_dimension(args.d1 + args.d2, args.l1 + args.l2, args.max_dim)
     try:

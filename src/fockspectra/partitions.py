@@ -12,7 +12,8 @@ For each diagonal box i of a Young diagram we record three numbers:
 Diagrams with ell rows are in bijection with sequences (d_1, l_1), ...,
 (d_k, l_k) satisfying l_i >= 1, d_i > d_{i+1} + l_i for i < k and d_k >= l_k.
 Such sequences are called admissible; they index the product basis used by
-the spectral module.
+the spectral module, and admissible_sequences reads them off the partitions
+through this map.
 """
 
 from __future__ import annotations
@@ -99,17 +100,19 @@ def hook_leg_profile(parts: Sequence[int]) -> tuple[HookLeg, ...]:
     return tuple(out)
 
 
+def is_regular_pair(d1: int, l1: int, d2: int, l2: int) -> bool:
+    """True when g(d1, l1) g(d2, l2) is a regular pair: d1 > d2 + l1."""
+    return d1 > d2 + l1
+
+
 def is_admissible(seq: Iterable[tuple[int, int]]) -> bool:
     """True when a (hook, increment) sequence comes from a Young diagram."""
     seq = tuple(seq)
     if any(l < 1 for _, l in seq):
         return False
-    for (d1, l1), (d2, _) in zip(seq, seq[1:]):
-        if d1 <= d2 + l1:
-            return False
-    if seq and seq[-1][0] < seq[-1][1]:
+    if not all(is_regular_pair(*a, *b) for a, b in zip(seq, seq[1:])):
         return False
-    return True
+    return not seq or seq[-1][0] >= seq[-1][1]
 
 
 def profile_to_partition(seq: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -134,29 +137,17 @@ def profile_to_partition(seq: Iterable[tuple[int, int]]) -> tuple[int, ...]:
 def admissible_sequences(d: int, ell: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All admissible sequences with hook sum d and increment sum ell.
 
-    Sorted in decreasing lexicographic order for the pair order "larger hook
-    first, then smaller increment" -- the order the spectral module uses for
-    its bases and matrices.
+    The (hook, increment) profiles of the partitions of d with ell parts,
+    the empty partition giving the empty sequence.  Sorted in decreasing
+    lexicographic order for the pair order "larger hook first, then smaller
+    increment" -- the order the spectral module uses for its bases and
+    matrices.
     """
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def extend(prefix: list[tuple[int, int]], rem_d: int, rem_l: int, cap_d: int) -> None:
-        if rem_d == 0 and rem_l == 0:
-            out.append(tuple(prefix))
-            return
-        if rem_d <= 0 or rem_l <= 0:
-            return
-        for d1 in range(min(rem_d, cap_d), 0, -1):
-            for l1 in range(1, rem_l + 1):
-                if d1 == rem_d and l1 == rem_l:
-                    if d1 >= l1:  # last entry: hook at least leg
-                        out.append(tuple(prefix + [(d1, l1)]))
-                elif d1 < rem_d and l1 < rem_l and rem_d - d1 >= rem_l - l1:  # each d_i >= l_i
-                    extend(prefix + [(d1, l1)], rem_d - d1, rem_l - l1, d1 - l1 - 1)
-
-    extend([], d, ell, d)
-    out.sort(key=product_sort_key)
-    return tuple(out)
+    seqs = [
+        tuple((e.hook, e.increment) for e in hook_leg_profile(p)) if p else ()
+        for p in partitions_with_length(d, ell)
+    ]
+    return tuple(sorted(seqs, key=product_sort_key))
 
 
 def pair_sort_key(pair: tuple[int, int]) -> tuple[int, int]:

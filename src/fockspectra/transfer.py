@@ -27,7 +27,7 @@ from .genfun import (
     g_value_is_zero,
     nonzero_factors,
 )
-from .partitions import admissible_sequences
+from .partitions import admissible_sequences, is_regular_pair
 from .poly import Polynomial
 
 
@@ -114,10 +114,6 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
                 updated[j] = (dj - p, lj - 1)
                 add(updated, Fraction(li * (li + 1)))
     return out
-
-
-def is_regular_pair(d1: int, l1: int, d2: int, l2: int) -> bool:
-    return d1 > d2 + l1
 
 
 def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:

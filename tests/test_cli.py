@@ -355,6 +355,29 @@ def test_module_entry_point():
     assert json.loads(result.stdout)["result"]["eigenvalues"] == [0, 3]
 
 
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [(("basis", "800", "790"), 2), (("spectrum", "400", "390"), 5)],
+    ids=["basis", "spectrum"],
+)
+def test_long_thin_components_cost_what_their_dimension_says(argv, seconds):
+    # dimension 42 each; an enumeration whose cost ignores the dimension takes tens of seconds here
+    result = subprocess.run(
+        [sys.executable, "-m", "fockspectra", *argv, "--json"],
+        capture_output=True,
+        text=True,
+        cwd=Path(fockspectra.__file__).parents[1],
+        timeout=seconds,
+    )
+    assert result.returncode == 0
+    payload = json.loads(result.stdout)["result"]
+    if argv[0] == "basis":
+        assert payload["size"] == 42
+    else:
+        eigenvalues = payload["eigenvalues"]
+        assert (len(eigenvalues), eigenvalues[0], eigenvalues[-1]) == (42, 76226, 79745)
+
+
 def test_cli_output_matches_the_recorded_digests(monkeypatch):
     """Replays every recorded CLI request of the benchmark in process; the stdout
     of each must hash to its digest in perfbench/digests.json."""

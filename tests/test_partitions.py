@@ -3,12 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockspectra import (
+    Polynomial,
     admissible_sequences,
     count_partitions,
+    expand_in_gbasis,
     hook_leg_profile,
     is_admissible,
     partitions_with_length,
     profile_to_partition,
+    s_basis,
+    spanning_products,
 )
 from fockspectra.partitions import HookLeg, check_partition
 
@@ -135,8 +139,22 @@ def test_admissible_sequences_biject_with_partitions():
             assert diagrams == set(partitions_with_length(d, ell))
 
 
+def test_admissible_sequences_match_a_search_that_shares_no_code_with_the_hook_map():
+    # spanning_products searches all canonical products; the basis is the admissible ones
+    for d in range(0, 17):
+        for ell in range(0, d + 1):
+            expected = tuple(p for p in spanning_products(d, ell) if is_admissible(p))
+            assert admissible_sequences(d, ell) == expected, (d, ell)
+
+
+def test_the_empty_component():
+    assert admissible_sequences(0, 0) == ((),)
+    assert s_basis(0, 0) == ()
+    assert expand_in_gbasis(Polynomial.one(), 0, 0) == (1,)
+
+
 def test_admissible_sequences_of_long_components():
-    # a branch that leaves less hook than length behind is never entered
+    # one diagram per partition, however long and thin the component
     assert admissible_sequences(60, 60) == (((60, 60),),)
     seqs = admissible_sequences(40, 30)
     assert {profile_to_partition(seq) for seq in seqs} == set(partitions_with_length(40, 30))
