@@ -10,13 +10,13 @@ with g(0, 0) = 1 and g(d, l) = 0 unless d >= l >= 1.  Products of these
 generators indexed by admissible sequences form a basis of each bigraded
 component.  Expanded products live in one store, _expand_canonical, keyed by
 the canonical factor sequence; a generator is its one-factor product, and
-g_poly returns that very object.  expand_in_gbasis computes exact
-coordinates in that basis by solving E c = v, where v holds the monomial
-coefficients and column j of the expansion matrix E those of the j-th basis
-product; E is factorised once per component by a sparse LU
-(linalg.lu_factor) and solved once per vector.
-Inside the package only transfer.straighten_pair solves against E; spectrum
-builds the product-basis matrix of T without it.
+g_poly returns that very object.  Column j of the expansion matrix E holds
+the monomial coefficients of the j-th basis product.  _expansion_lu keeps,
+per component and bound on the factor count, the sparse LU (linalg.lu_factor)
+of the columns of E whose products have at most that many factors, built
+straight from their expanded terms.  expand_in_gbasis solves on all of E;
+inside the package only transfer.straighten_pair solves, on the products
+with at most two factors.  expansion_matrix gives E densely, for the tests.
 """
 
 from __future__ import annotations
@@ -139,15 +139,18 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
     """Column j = coordinates of the j-th basis product in the monomial basis."""
     basis = admissible_sequences(d, ell)
     monos = monomial_basis(d, ell)
-    # uncached: these products only feed lu_factor
-    cols = [_expand_canonical.__wrapped__(p) for p in basis]
+    cols = [_expand_canonical.__wrapped__(p) for p in basis]  # uncached, as in _expansion_lu
     return tuple(tuple(f.coefficient(m) for f in cols) for m in monos)
 
 
-@lru_cache(maxsize=None)  # read by every later expand_in_gbasis on the component
-def _expansion_lu(d: int, ell: int) -> linalg.LUFactors:
+@lru_cache(maxsize=None)  # read by every later solve on the component
+def _expansion_lu(d: int, ell: int, max_factors: int) -> tuple[tuple[GProduct, ...], linalg.LUFactors]:
+    """The basis products of (d, ell) with at most max_factors factors, and
+    the sparse LU of their columns of E."""
+    products = tuple(p for p in admissible_sequences(d, ell) if len(p) <= max_factors)
     try:
-        return linalg.lu_factor(expansion_matrix(d, ell))
+        # uncached: these expansions only feed lu_factor
+        return products, linalg.lu_factor(_expand_canonical.__wrapped__(p).terms() for p in products)
     except SingularMatrixError as e:
         raise ConsistencyError(
             f"expansion matrix for component ({d},{ell}) is singular; "
@@ -159,20 +162,15 @@ def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
     """Exact coordinates of f in the ordered basis of generator products.
 
     f must be bihomogeneous of bidegree (d, ell); the zero polynomial is
-    accepted and yields the zero vector.
+    accepted and yields the zero vector.  No basis product has more than ell
+    factors, so this solves on the whole of E.
     """
     for m in f.monomials():
         if bidegree(m) != (d, ell):
             raise ValueError(
                 f"term {m} has bidegree {tuple(bidegree(m))}, expected ({d}, {ell})"
             )
-    monos = monomial_basis(d, ell)
-    if not monos:
-        if f.is_zero():
-            return ()
-        raise ValueError(f"component ({d},{ell}) is zero-dimensional")
-    vec = [f.coefficient(m) for m in monos]
-    return tuple(linalg.lu_solve(_expansion_lu(d, ell), vec))
+    return tuple(linalg.lu_solve(_expansion_lu(d, ell, ell)[1], f.terms()))
 
 
 def gproduct_str(product: GProduct) -> str:

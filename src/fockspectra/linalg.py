@@ -3,17 +3,18 @@
 Everything here works on Fractions and never touches floating point.  The
 dense routines take lists of lists; rref chooses pivots among the nonzero
 candidates by smallest numerator/denominator size, which only affects the
-amount of arithmetic, never the result.  lu_factor/lu_solve keep rows as
-dicts that never store a zero, for square systems solved many times against
-one sparse matrix.  The package itself calls only lu_factor/lu_solve,
-char_poly and poly_from_roots; the dense elimination routines (rref, rank,
-invert, null_space) serve the tests as references.
+amount of arithmetic, never the result.  lu_factor/lu_solve take sparse
+columns and right-hand sides as (row label, value) pairs, for k <= n
+independent columns solved many times; lu_solve certifies each solution on
+every row.  The package itself calls only lu_factor/lu_solve, char_poly and
+poly_from_roots; the dense elimination routines (rref, rank, invert,
+null_space) serve the tests as references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import SingularMatrixError
 
@@ -99,32 +100,37 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix:
 # One step per pivot, in elimination order: (row, col, pivot, upper, lower),
 # with the pivot entry at (row, col), the rest of that row as (col, value)
 # pairs, and the multipliers (other row, factor) that cleared col from the
-# rows still unpivoted.
-SparseEntries = tuple[tuple[int, Fraction], ...]
-LUFactors = tuple[tuple[int, int, Fraction, SparseEntries, SparseEntries], ...]
+# rows still unpivoted.  Rows are named by their labels, columns by position.
+SparseEntries = tuple[tuple[Hashable, Fraction], ...]
+LUFactors = tuple[tuple[Hashable, int, Fraction, SparseEntries, SparseEntries], ...]
 
 
-def lu_factor(rows: Sequence[Sequence[Fraction]]) -> LUFactors:
-    """Sparse LU factorisation of a square matrix; raises SingularMatrixError.
+def lu_factor(columns: Iterable[Iterable[tuple[Hashable, Fraction]]]) -> LUFactors:
+    """Sparse LU factorisation of n rows and k <= n columns, each column given
+    as (row label, value) pairs; raises SingularMatrixError unless the columns
+    are linearly independent.
 
     Each step pivots on the remaining column with the fewest nonzeros, then on
-    that column's shortest row, ties going to the lower index, so the pivot
-    order depends only on the sparsity pattern.
+    that column's shortest row, ties going to the lower index or label, so the
+    pivot order depends only on the sparsity pattern.  It stops after k
+    pivots; the rows left unpivoted are where lu_solve checks its residual.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("lu_factor needs a square matrix")
-    live = {i: {j: Fraction(v) for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
-    col_rows: dict[int, set[int]] = {j: set() for j in range(n)}
-    for i, row in live.items():
-        for j in row:
-            col_rows[j].add(i)
+    labels: dict = {}  # one copy of each label, so the steps keep no column's own
+    live: dict[Hashable, dict[int, Fraction]] = {}
+    col_rows: dict[int, set] = {}
+    for j, column in enumerate(columns):
+        col_rows[j] = set()
+        for i, v in column:
+            if v:
+                i = labels.setdefault(i, i)
+                live.setdefault(i, {})[j] = Fraction(v)
+                col_rows[j].add(i)
     steps = []
     while col_rows:
         c = min(col_rows, key=lambda j: (len(col_rows[j]), j))
         candidates = col_rows.pop(c)
         if not candidates:
-            raise SingularMatrixError(f"matrix of size {n} is singular")
+            raise SingularMatrixError(f"column {c} lies in the span of the columns pivoted before it")
         r = min(candidates, key=lambda i: (len(live[i]), i))
         prow = live.pop(r)
         pivot = prow.pop(c)
@@ -149,19 +155,24 @@ def lu_factor(rows: Sequence[Sequence[Fraction]]) -> LUFactors:
     return tuple(steps)
 
 
-def lu_solve(factors: LUFactors, b: Sequence[Fraction]) -> Vector:
-    """The unique x with A x = b, for the A that lu_factor factorised."""
-    if len(b) != len(factors):
-        raise ValueError(f"right-hand side has length {len(b)}, expected {len(factors)}")
-    y = [Fraction(v) for v in b]
+def lu_solve(factors: LUFactors, b: Iterable[tuple[Hashable, Fraction]]) -> Vector:
+    """The unique x with A x = b, for the A that lu_factor factorised and b
+    given as (row label, value) pairs.  Forward elimination must leave zero
+    on every row without a pivot, a label that A lacks included, so each x
+    returned solves A x = b exactly; otherwise ValueError.
+    """
+    y = {i: Fraction(v) for i, v in b if v}
+    pivoted = []
     for r, _, _, _, lower in factors:
-        v = y[r]
+        v = y.pop(r, 0)
+        pivoted.append(v)
         if v:
             for i, f in lower:
-                y[i] -= f * v
+                y[i] = y.get(i, 0) - f * v
+    if any(y.values()):
+        raise ValueError("the right-hand side is not in the column span of the matrix")
     x = [Fraction(0)] * len(factors)
-    for r, c, pivot, upper, _ in reversed(factors):
-        s = y[r]
+    for (_, c, pivot, upper, _), s in zip(reversed(factors), reversed(pivoted)):
         for j, u in upper:
             if x[j]:
                 s -= u * x[j]

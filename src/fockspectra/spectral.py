@@ -7,9 +7,10 @@ element to itself plus strictly earlier elements and its matrix comes out
 upper triangular; the diagonal carries the spectrum.  That matrix is built
 without expanding products into monomials: each column is the closed-form
 action of T on a basis product, with every inadmissible product in it
-straightened into the basis (transfer.straighten_product).  The expansion
-matrix E is solved against only inside straighten_pair, on the component of
-each irregular pair.  Eigenvalues are computed from the index sequences by
+straightened into the basis (transfer.straighten_product).  Its only linear
+solves are inside straighten_pair, each on the products with at most two
+factors of an irregular pair's component.  Eigenvalues are computed from the
+index sequences by
 
     lambda = 1/2 * sum_i (l_i - 1)(2 d_i - l_i)
 

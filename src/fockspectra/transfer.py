@@ -16,18 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from . import genfun, linalg
 from .errors import ConsistencyError
-from .genfun import (
-    GCombination,
-    GIndex,
-    GProduct,
-    canonical_product,
-    expand_in_gbasis,
-    g_poly,
-    g_value_is_zero,
-    nonzero_factors,
-)
-from .partitions import admissible_sequences, is_regular_pair
+from .genfun import GCombination, GIndex, GProduct, canonical_product, g_poly, g_value_is_zero, nonzero_factors
+from .partitions import is_regular_pair
 from .poly import Polynomial
 
 
@@ -119,30 +111,25 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
 def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
     """Rewrite g(d1,l1) g(d2,l2) as a combination of regular products.
 
-    Regular input is returned unchanged.  Otherwise the product is expanded
-    into monomials and solved against the basis of its bigraded component;
-    the result consists of regular pairs (single factors standing for pairs
-    with g(0,0)) that all precede the input in the "larger degree first,
-    then smaller length" order.
+    Regular input is returned unchanged.  Otherwise the product is solved
+    against the basis products of its component with at most two factors;
+    lu_solve certifies the answer on every monomial, and ConsistencyError
+    reports one that needs more factors.  The result consists of regular
+    pairs (single factors standing for pairs with g(0,0)) that all precede
+    the input in the "larger degree first, then smaller length" order.
     """
     if len(nonzero_factors(((d1, l1), (d2, l2)))) < 2:  # a zero factor raises
         raise ValueError("factor g(0,0) is not a nonzero generator")
     if is_regular_pair(d1, l1, d2, l2):
         return {((d1, l1), (d2, l2)): Fraction(1)}
-    total_d, total_l = d1 + d2, l1 + l2
-    coords = expand_in_gbasis(g_poly(d1, l1) * g_poly(d2, l2), total_d, total_l)
-    basis = admissible_sequences(total_d, total_l)
-    comb: GCombination = {}
-    for product, c in zip(basis, coords):
-        if not c:
-            continue
-        if len(product) > 2:
-            raise ConsistencyError(
-                f"straightening g({d1},{l1})g({d2},{l2}) produced a "
-                f"{len(product)}-factor term {product}"
-            )
-        comb[product] = c
-    return comb
+    products, factors = genfun._expansion_lu(d1 + d2, l1 + l2, 2)
+    try:
+        coords = linalg.lu_solve(factors, (g_poly(d1, l1) * g_poly(d2, l2)).terms())
+    except ValueError as e:
+        raise ConsistencyError(
+            f"straightening g({d1},{l1})g({d2},{l2}) needs products of more than two factors"
+        ) from e
+    return {product: c for product, c in zip(products, coords) if c}
 
 
 def straighten_product(product: GProduct, memo: dict[GProduct, GCombination]) -> GCombination:

@@ -5,8 +5,9 @@ exponentiation instead of the closed multiplicity formula, an explicit
 sum-over-derivative-pairs operator instead of the per-monomial loop, Leibniz
 permanent-style determinants instead of Faddeev-LeVerrier, Newton's
 recurrence for the complete symmetric functions, the monomial route
-through the expansion matrix for the product-basis matrix of T, and a dense
-null space per eigenvalue for its eigenvectors.
+through the expansion matrix for the product-basis matrix of T, a solve
+against the whole expansion matrix for the straightening of a pair, and a
+dense null space per eigenvalue for its eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fockspectra import (
     Polynomial,
     apply_t,
     expand_in_gbasis,
+    g_poly,
     g_product_expand,
     linalg,
     monomial,
@@ -131,6 +133,14 @@ def gbasis_t_matrix_reference(d: int, ell: int) -> tuple[tuple[Fraction, ...], .
     products = s_basis(d, ell)
     cols = [expand_in_gbasis(apply_t(g_product_expand(p)), d, ell) for p in products]
     return tuple(tuple(col[i] for col in cols) for i in range(len(products)))
+
+
+def straighten_pair_reference(d1: int, l1: int, d2: int, l2: int) -> dict:
+    """Nonzero coordinates of g(d1,l1) g(d2,l2) in the whole basis of its
+    component, solved against all of E by expand_in_gbasis."""
+    d, ell = d1 + d2, l1 + l2
+    coords = expand_in_gbasis(g_poly(d1, l1) * g_poly(d2, l2), d, ell)
+    return {p: c for p, c in zip(s_basis(d, ell), coords) if c}
 
 
 def eigenbasis_reference(d: int, ell: int) -> list[tuple[Fraction, tuple[Fraction, ...]]]:

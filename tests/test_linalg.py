@@ -16,27 +16,36 @@ from fockspectra import (
 from fockspectra.errors import ConsistencyError, SingularMatrixError
 
 
+def _columns(rows):
+    """The columns of a dense matrix in lu_factor's (row label, value) form."""
+    return [list(enumerate(col)) for col in zip(*rows)]
+
+
 def test_lu_solve_matches_dense_inverse_on_every_component():
     # the dense inverse is the oracle; b runs over the monomial coordinates of
     # T applied to each basis product, the vectors the spectrum path solves for
     for d in range(1, 14):
         for ell in range(1, d + 1):
             e = [list(row) for row in expansion_matrix(d, ell)]
-            factors = linalg.lu_factor(e)
+            factors = linalg.lu_factor(_columns(e))
+            # the same matrix with its rows labelled by monomial, as genfun builds it
+            sparse = linalg.lu_factor(g_product_expand(q).terms() for q in s_basis(d, ell))
             inverse = linalg.invert(e)
             monos = monomial_basis(d, ell)
             for p in s_basis(d, ell):
                 image = apply_t(g_product_expand(p))
                 b = [image.coefficient(m) for m in monos]
-                assert linalg.lu_solve(factors, b) == linalg.mat_vec(inverse, b), (d, ell, p)
+                x = linalg.mat_vec(inverse, b)
+                assert linalg.lu_solve(factors, enumerate(b)) == x, (d, ell, p)
+                assert linalg.lu_solve(sparse, image.terms()) == x, (d, ell, p)
 
 
 def _steps(rows):
     a = [[Fraction(v) for v in row] for row in rows]
-    factors = linalg.lu_factor(a)
+    factors = linalg.lu_factor(_columns(a))
     for j in range(len(a)):
         b = [Fraction(int(i == j)) for i in range(len(a))]
-        assert linalg.lu_solve(factors, b) == linalg.mat_vec(linalg.invert(a), b)
+        assert linalg.lu_solve(factors, enumerate(b)) == linalg.mat_vec(linalg.invert(a), b)
     return [(r, c) for r, c, *_ in factors]
 
 
@@ -51,44 +60,74 @@ def test_lu_pivot_order_fill_in_and_cancellation():
 
 def test_lu_factor_singular_and_malformed():
     with pytest.raises(SingularMatrixError):
-        linalg.lu_factor([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        linalg.lu_factor(_columns([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]))
     with pytest.raises(SingularMatrixError):
-        linalg.lu_factor([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(3)]])
+        linalg.lu_factor(_columns([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(3)]]))
+    # a wide matrix always has dependent columns
+    with pytest.raises(SingularMatrixError):
+        linalg.lu_factor(_columns([[Fraction(1), Fraction(2)]]))
+    # a nonzero on a label the matrix lacks has no solution
     with pytest.raises(ValueError):
-        linalg.lu_factor([[Fraction(1), Fraction(2)]])
-    with pytest.raises(ValueError):
-        linalg.lu_solve(linalg.lu_factor([[Fraction(1)]]), [Fraction(1), Fraction(1)])
+        linalg.lu_solve(linalg.lu_factor(_columns([[Fraction(1)]])), enumerate([Fraction(1), Fraction(1)]))
     assert linalg.lu_solve(linalg.lu_factor([]), []) == []
+
+
+def test_lu_solves_a_tall_system_and_checks_the_residual():
+    # 4 x 2: rows 2 and 3 never pivot
+    a = [[1, 0], [1, 1], [0, 2], [3, 0]]
+    factors = linalg.lu_factor(_columns(a))
+    assert len(factors) == 2
+    x0 = [Fraction(2, 3), Fraction(-5)]
+    assert linalg.lu_solve(factors, enumerate(linalg.mat_vec(a, x0))) == x0
+    off = linalg.mat_vec(a, x0)
+    off[2] += 1
+    with pytest.raises(ValueError, match="not in the column span"):
+        linalg.lu_solve(factors, enumerate(off))
+    with pytest.raises(SingularMatrixError):
+        linalg.lu_factor(_columns([[1, 2], [2, 4], [0, 0]]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 3)]), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
+        lambda n: st.integers(1, n).flatmap(
+            lambda k: st.lists(
+                st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 3)]), min_size=k, max_size=k),
+                min_size=n,
+                max_size=n,
+            )
         )
     )
 )
 def test_lu_agrees_with_dense_inverse(rows):
+    # rows is n x k with k <= n; rank and invert are the oracles
     a = [[Fraction(v) for v in row] for row in rows]
-    try:
-        inverse = linalg.invert(a)
-    except SingularMatrixError:
+    n, k = len(a), len(a[0])
+    if linalg.rank(a) < k:
         with pytest.raises(SingularMatrixError):
-            linalg.lu_factor(a)
+            linalg.lu_factor(_columns(a))
         return
-    factors = linalg.lu_factor(a)
-    for j in range(len(a)):
-        b = [Fraction(int(i == j)) + i for i in range(len(a))]
-        assert linalg.lu_solve(factors, b) == linalg.mat_vec(inverse, b)
+    factors = linalg.lu_factor(_columns(a))
+    x0 = [Fraction(j + 1, 2) - j * j for j in range(k)]
+    assert linalg.lu_solve(factors, enumerate(linalg.mat_vec(a, x0))) == x0
+    if n == k:
+        inverse = linalg.invert(a)
+        for j in range(n):
+            b = [Fraction(int(i == j)) + i for i in range(n)]
+            assert linalg.lu_solve(factors, enumerate(b)) == linalg.mat_vec(inverse, b)
+    for j in range(n):
+        unit = [Fraction(int(i == j)) for i in range(n)]
+        if linalg.rank([row + [u] for row, u in zip(a, unit)]) == k:
+            assert linalg.mat_vec(a, linalg.lu_solve(factors, enumerate(unit))) == unit
+        else:
+            with pytest.raises(ValueError):
+                linalg.lu_solve(factors, enumerate(unit))
 
 
 def test_singular_expansion_matrix_is_a_consistency_error(monkeypatch, cold_caches):
-    singular = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
-    monkeypatch.setattr(genfun, "expansion_matrix", lambda d, ell: singular)
+    # a dependent product family in place of the basis of (4,2)
+    monkeypatch.setattr(genfun, "admissible_sequences", lambda d, ell: (((4, 2),), ((4, 2),)))
     with pytest.raises(ConsistencyError, match=r"expansion matrix for component \(4,2\) is singular"):
         genfun.expand_in_gbasis(g_product_expand([(4, 2)]), 4, 2)
-    # failures are not cached, so nothing built from the patched matrix remains
+    # failures are not cached, so nothing built from the patched family remains
     assert genfun._expansion_lu.cache_info().currsize == 0

@@ -24,7 +24,7 @@ from fockspectra import (
     verify_triangular,
     x,
 )
-from fockspectra import cli, linalg, spectral, transfer
+from fockspectra import cli, genfun, linalg, spectral, transfer
 from fockspectra.errors import ConsistencyError
 from fockspectra.genfun import expand_combination
 
@@ -70,8 +70,8 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
     def monomial_route(*args):
         raise AssertionError("spectrum applied T to monomials")
 
-    pairs, solves = [], []
-    real_pair, real_solve = transfer.straighten_pair, transfer.expand_in_gbasis
+    pairs, solves, factorisations = [], [], []
+    real_pair, real_solve, real_lu = transfer.straighten_pair, linalg.lu_solve, genfun._expansion_lu
 
     def straighten_pair(*args):
         pairs.append(args)
@@ -80,17 +80,25 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
         finally:
             pairs.pop()
 
-    def expand_in_gbasis(f, d, ell):
-        assert pairs, "spectrum solved against E outside straighten_pair"
-        solves.append((d, ell))
-        return real_solve(f, d, ell)
+    def lu_solve(factors, b):
+        assert pairs, "spectrum solved a linear system outside straighten_pair"
+        d1, l1, d2, l2 = pairs[-1]
+        solves.append((d1 + d2, l1 + l2))
+        return real_solve(factors, b)
+
+    def expansion_lu(*args):
+        factorisations.append(args)
+        return real_lu(*args)
 
     monkeypatch.setattr(spectral, "apply_t", monomial_route)
     monkeypatch.setattr(transfer, "straighten_pair", straighten_pair)
-    monkeypatch.setattr(transfer, "expand_in_gbasis", expand_in_gbasis)
+    monkeypatch.setattr(linalg, "lu_solve", lu_solve)
+    monkeypatch.setattr(genfun, "_expansion_lu", expansion_lu)
     assert spectrum(12, 4).eigenvalues == (1, 3, 3, 5, 6, 7, 7, 10, 10, 10, 13, 15, 17, 19, 30)
     # one solve per distinct irregular pair, fewer than the 15 basis products
     assert 0 < solves.count((12, 4)) < 15
+    # every factorisation is of the products with at most two factors
+    assert factorisations and all(max_factors == 2 for _, _, max_factors in factorisations)
 
 
 def test_cold_caches_finds_the_package_caches(cold_caches):

@@ -21,6 +21,8 @@ from fockspectra import (
     straighten_pair,
     x,
 )
+from fockspectra import genfun
+from fockspectra.errors import ConsistencyError
 from fockspectra.genfun import expand_combination
 from fockspectra.partitions import pair_sort_key
 from fockspectra.transfer import straighten_product
@@ -155,6 +157,27 @@ def test_straighten_output_is_regular_and_precedes_input():
                 assert is_regular_pair(a1, b1, a2, b2), product
             lead = product[0]
             assert pair_sort_key(lead) < pair_sort_key((d1, l1)), (product, (d1, l1))
+
+
+def test_straighten_pair_equals_the_whole_component_solve():
+    count = 0
+    for d1, l1, d2, l2 in _irregular_pairs(14):
+        assert straighten_pair(d1, l1, d2, l2) == oracles.straighten_pair_reference(d1, l1, d2, l2), (d1, l1, d2, l2)
+        count += 1
+    assert count == 1484
+
+
+def test_straighten_pair_certifies_its_answer(monkeypatch, cold_caches):
+    # without g(3,1)g(1,1), g(2,1)^2 = 2 g(4,2) - 2 g(3,1)g(1,1) has no solution
+    real = genfun.admissible_sequences
+    monkeypatch.setattr(
+        genfun, "admissible_sequences", lambda d, ell: tuple(p for p in real(d, ell) if p != ((3, 1), (1, 1)))
+    )
+    try:
+        with pytest.raises(ConsistencyError, match=r"straightening g\(2,1\)g\(2,1\)"):
+            straighten_pair(2, 1, 2, 1)
+    finally:
+        genfun._expansion_lu.cache_clear()  # drop the factorisation of the patched family
 
 
 def test_straighten_product_round_trip():
