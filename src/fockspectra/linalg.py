@@ -1,14 +1,14 @@
-"""Exact linear algebra over Fraction: dense elimination and one sparse LU.
+"""Exact linear algebra over Fraction: one sparse LU, a characteristic
+polynomial, and dense elimination for the tests.
 
-Everything here works on Fractions and never touches floating point.  The
-dense routines take lists of lists; rref chooses pivots among the nonzero
-candidates by smallest numerator/denominator size, which only affects the
-amount of arithmetic, never the result.  lu_factor/lu_solve take sparse
-columns and right-hand sides as (row label, value) pairs, for k <= n
-independent columns solved many times; lu_solve certifies each solution on
-every row.  The package itself calls only lu_factor/lu_solve, char_poly and
-poly_from_roots; the dense elimination routines (rref, rank, invert,
-null_space) serve the tests as references.
+Everything here works on Fractions and never touches floating point.
+lu_factor/lu_solve take sparse columns and right-hand sides as (row label,
+value) pairs, for k <= n independent columns solved many times; lu_solve
+certifies each solution on every row.  char_poly reduces to Hessenberg form
+and applies Cohen's recurrence (Alg. 2.2.9), O(n^3) in all.  The package
+itself calls only lu_factor/lu_solve, char_poly and poly_from_roots; the
+dense routines (rref, rank, invert, null_space) serve the tests as
+references, and rref's pivot choice affects only the amount of arithmetic.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
 
 def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def trace(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    return sum((rows[i][i] for i in range(len(rows))), Fraction(0))
 
 
 def _pivot_size(q: Fraction) -> int:
@@ -198,20 +194,44 @@ def null_space(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 
 def char_poly(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A) by the Faddeev-LeVerrier scheme.
+    """Characteristic polynomial det(xI - A) in O(n^3) Fraction operations.
 
+    Similarity transforms bring A to upper Hessenberg form H; then
+    p_m = det(xI - H_m) of the leading m x m blocks follow by the recurrence
+    of Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9.
     Returns monic coefficients [1, c1, ..., cn] for x^n + c1 x^(n-1) + ... + cn.
     """
-    a = _as_rows(rows)
-    n = len(a)
-    coeffs = [Fraction(1)]
-    prev = identity(n)
-    for k in range(1, n + 1):
-        mk = mat_mul(a, prev)
-        ck = -trace(mk) / k
-        coeffs.append(ck)
-        prev = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
+    h = _as_rows(rows)
+    n = len(h)
+    for m in range(1, n - 1):
+        # pivot on the first nonzero at or below h[m][m - 1], if there is one
+        i = next((i for i in range(m, n) if h[i][m - 1]), m)
+        h[i], h[m] = h[m], h[i]
+        for row in h:
+            row[i], row[m] = row[m], row[i]
+        pivot_row = h[m]
+        for i in range(m + 1, n):
+            if h[i][m - 1]:
+                # row i -= u row m, then column m += u column i
+                row = h[i]
+                u = row[m - 1] / pivot_row[m - 1]
+                for j in range(m - 1, n):
+                    if pivot_row[j]:
+                        row[j] -= u * pivot_row[j]
+                for r in h:
+                    if r[i]:
+                        r[m] += u * r[i]
+    polys = [[Fraction(1)]]  # p_0, p_1, ... in ascending powers of x
+    for m in range(n):
+        p, t = [Fraction(0)] + polys[m], Fraction(1)
+        for j in range(m, -1, -1):  # t = h_(m,m-1) h_(m-1,m-2) ... h_(j+1,j)
+            f = t * h[j][m]
+            if f:
+                for k, c in enumerate(polys[j]):
+                    p[k] -= f * c
+            t *= h[j][j - 1]
+        polys.append(p)
+    return polys[n][::-1]
 
 
 def poly_from_roots(roots: Sequence[Fraction]) -> list[Fraction]:

@@ -2,10 +2,11 @@
 
 These deliberately take different routes than the library: truncated series
 exponentiation instead of the closed multiplicity formula, an explicit
-sum-over-derivative-pairs operator instead of the per-monomial loop, Leibniz
-permanent-style determinants instead of Faddeev-LeVerrier, Newton's
-recurrence for the complete symmetric functions, the monomial route
-through the expansion matrix for the product-basis matrix of T, a solve
+sum-over-derivative-pairs operator instead of the per-monomial loop,
+Faddeev-LeVerrier traces and Leibniz permanent-style determinants instead of
+Hessenberg reduction for characteristic polynomials, Newton's recurrence
+for the complete symmetric functions, the monomial route through the
+expansion matrix for the product-basis matrix of T, a solve
 against the whole expansion matrix for the straightening of a pair, and a
 dense null space per eigenvalue for its eigenvectors.
 """
@@ -184,6 +185,21 @@ def char_poly_reference(rows) -> list[Fraction]:
         for k, c in enumerate(prod):
             total[k] += sign * c
     return list(reversed(total))
+
+
+def char_poly_faddeev(rows) -> list[Fraction]:
+    """Monic coefficients of det(xI - A) by the Faddeev-LeVerrier scheme:
+    M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k, O(n^4)."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    coeffs = [Fraction(1)]
+    prev = linalg.identity(n)
+    for k in range(1, n + 1):
+        mk = linalg.mat_mul(a, prev)
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs.append(ck)
+        prev = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
 
 
 # --- hypothesis strategies ---------------------------------------------------

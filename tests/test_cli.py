@@ -378,15 +378,21 @@ def test_long_thin_components_cost_what_their_dimension_says(argv, seconds):
         assert (len(eigenvalues), eigenvalues[0], eigenvalues[-1]) == (42, 76226, 79745)
 
 
-def test_cli_output_matches_the_recorded_digests(monkeypatch):
-    """Replays every recorded CLI request of the benchmark in process; the stdout
-    of each must hash to its digest in perfbench/digests.json."""
+def _bench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded without writing under perfbench/, and the
+    recorded output digests."""
     bench = Path(__file__).parents[1] / "perfbench"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     spec.loader.exec_module(workloads)
-    recorded = json.loads((bench / "digests.json").read_text())
+    return workloads, json.loads((bench / "digests.json").read_text())
+
+
+def test_cli_output_matches_the_recorded_digests(monkeypatch):
+    """Replays every recorded CLI request of the benchmark in process; the stdout
+    of each must hash to its digest in perfbench/digests.json."""
+    workloads, recorded = _bench_workloads(monkeypatch)
     # the cold spectrum ladder and the full sweep take seconds each
     slow = {("spectrum", str(d), str(ell)) for d, ell in workloads.SPECTRUM_LADDER}
     slow.add(("verify", "--max-d", str(workloads.VERIFY_MAX_D)))
@@ -401,4 +407,21 @@ def test_cli_output_matches_the_recorded_digests(monkeypatch):
             cli.main(list(argv))
         if workloads.digest(buf.getvalue()) != recorded[workloads.key(("cli", argv))]:
             mismatches.append(argv)
+    assert mismatches == []
+
+
+def test_api_output_matches_the_recorded_digests(monkeypatch):
+    """Rebuilds the text of every recorded library request of the benchmark
+    (perfbench/child.py's api mode): one line per orthogonal eigenfunction,
+    then the certificate; it must hash to its digest in perfbench/digests.json."""
+    workloads, recorded = _bench_workloads(monkeypatch)
+    requests = sorted(args for mode, args in workloads.all_requests() if mode == "api")
+    assert len(requests) >= 5
+    mismatches = []
+    for args in requests:
+        d, ell = map(int, args)
+        lines = [f"{f.eigenvalue} {f.norm_squared} {f.polynomial}" for f in spectral.orthogonal_eigenbasis(d, ell)]
+        lines.append(f"char_poly_check {spectral.char_poly_check(d, ell)}")
+        if workloads.digest("\n".join(lines) + "\n") != recorded[workloads.key(("api", args))]:
+            mismatches.append(args)
     assert mismatches == []

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -346,9 +347,41 @@ def test_char_poly_check_reads_only_the_monomial_matrix(monkeypatch):
 
 
 def test_char_poly_small_cases():
+    assert linalg.char_poly([]) == [1]
+    assert linalg.char_poly([[Fraction(-7, 2)]]) == [1, Fraction(7, 2)]
     a = [[Fraction(2), Fraction(2)], [Fraction(1), Fraction(1)]]
     assert linalg.char_poly(a) == [1, -3, 0]
     assert linalg.poly_from_roots([Fraction(0), Fraction(3)]) == [1, -3, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.just(Fraction(0)), oracles.small_fractions), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_char_poly_matches_faddeev_on_sparse_matrices(rows):
+    # about half the entries are 0, so the Hessenberg reduction meets columns
+    # with nothing to eliminate and pivots that need a row/column swap
+    assert linalg.char_poly(rows) == oracles.char_poly_faddeev(rows)
+
+
+def test_char_poly_matches_faddeev_on_every_monomial_matrix():
+    for d in range(1, 10):
+        for ell in range(1, d + 1):
+            m = [list(row) for row in spectral._t_matrix_entries(d, ell, "monomial")]
+            assert linalg.char_poly(m) == oracles.char_poly_faddeev(m), (d, ell)
+
+
+def test_char_poly_check_at_dimension_58_is_fast(cold_caches):
+    start = time.monotonic()
+    assert char_poly_check(18, 6)
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"char_poly_check(18, 6) took {elapsed:.2f}s"
 
 
 @settings(max_examples=40)
