@@ -395,6 +395,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _answer(args: argparse.Namespace) -> int:
+    if args.csv and args.command not in ("spectrum", "tmatrix"):  # refused before any work
+        print("error: --csv is only available for spectrum and tmatrix", file=sys.stderr)
+        return EXIT_USAGE
     envelope = {"command": args.command, "params": _params_of(args), "status": "ok"}
     try:
         result, human, csv_text = args.run(args)
@@ -409,9 +412,6 @@ def _answer(args: argparse.Namespace) -> int:
             print(f"error: {text}", file=sys.stderr)
         return EXIT_FAIL if isinstance(e, ConsistencyError) else EXIT_USAGE
     if args.csv:
-        if csv_text is None:
-            print("error: --csv is only available for spectrum and tmatrix", file=sys.stderr)
-            return EXIT_USAGE
         print(csv_text)
     elif args.json:
         envelope["result"] = result

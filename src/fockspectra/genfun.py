@@ -85,30 +85,21 @@ def g_product_expand(factors: Iterable[GIndex]) -> Polynomial:
 
 
 def expand_combination(comb: GCombination) -> Polynomial:
-    out = Polynomial.zero()
-    for product, c in comb.items():
-        out = out + g_product_expand(product) * c
-    return out
+    return Polynomial.combine((g_product_expand(product), c) for product, c in comb.items())
 
 
 def complete_symmetric(k: int) -> Polynomial:
     """h_k = sum over l <= k of g(k, l), in the x coordinates."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = Polynomial.zero()
-    for ell in range(1, k + 1):
-        out = out + g_poly(k, ell)
-    return out
+    return Polynomial.combine((g_poly(k, ell), 1) for ell in range(1, k + 1))
 
 
 def elementary_symmetric(k: int) -> Polynomial:
     """e_k = sum over l <= k of (-1)^(k+l) g(k, l), in the x coordinates."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = Polynomial.zero()
-    for ell in range(1, k + 1):
-        out = out + g_poly(k, ell) * ((-1) ** (k + ell))
-    return out
+    return Polynomial.combine((g_poly(k, ell), (-1) ** (k + ell)) for ell in range(1, k + 1))
 
 
 def spanning_products(d: int, ell: int) -> tuple[GProduct, ...]:

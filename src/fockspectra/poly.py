@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from itertools import chain
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from . import partitions
 
@@ -116,12 +117,27 @@ def combination_str(terms: Iterable[tuple[str, Scalar]]) -> str:
     return " ".join(pieces) or "0"
 
 
+def collect(pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
+    """The one rule for summing terms: add the coefficients of equal keys,
+    then drop the zero sums, once, at the end."""
+    out: dict = {}
+    for key, c in pairs:
+        if key in out:
+            out[key] += c
+        else:
+            out[key] = c
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    return out
+
+
 class Polynomial:
     """Immutable sparse polynomial over exact rationals.
 
     Supports +, -, * (by polynomial or scalar), / (by scalar) and ** with a
-    nonnegative integer exponent.  All operations return fresh values; stored
-    coefficients are always nonzero Fractions.
+    nonnegative integer exponent; combine sums c * f over many (f, c) pairs
+    in one pass.  All operations return fresh values; stored coefficients
+    are always nonzero Fractions.
     """
 
     __slots__ = ("_terms",)
@@ -134,6 +150,18 @@ class Polynomial:
             if q:
                 clean[m] = q
         self._terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """The polynomial that owns terms, whose coefficients are nonzero Fractions."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
+
+    @classmethod
+    def combine(cls, pairs: Iterable[tuple["Polynomial", Scalar]]) -> "Polynomial":
+        """The sum of c * f over the (f, c) pairs."""
+        return cls._of(collect((m, c * a) for f, c in pairs for m, a in f._terms.items()))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -185,23 +213,12 @@ class Polynomial:
             other = Polynomial({MONO_ONE: other})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        result = Polynomial.zero()
-        result._terms = out
-        return result
+        return Polynomial._of(collect(chain(self._terms.items(), other._terms.items())))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        result = Polynomial.zero()
-        result._terms = {m: -c for m, c in self._terms.items()}
-        return result
+        return Polynomial._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         return self + (-other if isinstance(other, Polynomial) else -Fraction(other))
@@ -212,24 +229,11 @@ class Polynomial:
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            result = Polynomial.zero()
-            if q:
-                result._terms = {m: c * q for m, c in self._terms.items()}
-            return result
+            return Polynomial._of({m: c * q for m, c in self._terms.items()} if q else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        result = Polynomial.zero()
-        result._terms = out
-        return result
+        mine, theirs = self._terms.items(), other._terms.items()
+        return Polynomial._of(collect((mono_mul(m1, m2), c1 * c2) for m1, c1 in mine for m2, c2 in theirs))
 
     __rmul__ = __mul__
 
@@ -267,16 +271,12 @@ def partial_derivative(f: Polynomial, k: int) -> Polynomial:
     out: dict[Monomial, Fraction] = {}
     for m, c in f._terms.items():
         exps = dict(m)
-        a = exps.get(k, 0)
-        if not a:
-            continue
-        if a == 1:
-            del exps[k]
-        else:
-            exps[k] = a - 1
-        dm = tuple(sorted(exps.items()))
-        out[dm] = out.get(dm, Fraction(0)) + c * a
-    return Polynomial(out)
+        a = exps.pop(k, 0)
+        if a:
+            if a > 1:
+                exps[k] = a - 1
+            out[tuple(sorted(exps.items()))] = c * a  # m -> m / x_k is one-to-one: nothing to sum
+    return Polynomial._of(out)
 
 
 def inner_product(f: Polynomial, g: Polynomial) -> Fraction:

@@ -31,7 +31,7 @@ from . import linalg
 from .errors import ConsistencyError
 from .genfun import GCombination, GProduct, expand_combination
 from .partitions import admissible_sequences
-from .poly import Monomial, Polynomial, inner_product, mono_norm_sq, monomial_basis
+from .poly import Monomial, Polynomial, collect, inner_product, mono_norm_sq, monomial_basis
 from .transfer import apply_t, apply_t_structural, straighten_product
 
 BasisLabel = Union[Monomial, GProduct]
@@ -111,9 +111,10 @@ def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[Fraction, ...
         rows = [[Fraction(0)] * len(products) for _ in products]
         memo: dict[GProduct, GCombination] = {}
         for j, p in enumerate(products):
-            for q, c in apply_t_structural(p).items():
-                for r, cr in straighten_product(q, memo).items():
-                    rows[index[r]][j] += c * cr
+            image = apply_t_structural(p).items()
+            column = collect((r, c * cr) for q, c in image for r, cr in straighten_product(q, memo).items())
+            for r, c in column.items():
+                rows[index[r]][j] = c
         return tuple(tuple(row) for row in rows)
     raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
 
@@ -235,11 +236,9 @@ def orthogonal_eigenbasis(d: int, ell: int) -> tuple[OrthogonalEigenfunction, ..
     for lam in sorted(groups):
         done: list[tuple[Polynomial, Fraction]] = []
         for vec in groups[lam]:
-            w = vec
-            for u, u_norm_sq in done:
-                c = inner_product(w, u) / u_norm_sq
-                if c:
-                    w = w - u * c
+            # the vectors in done are mutually orthogonal, so projecting vec itself
+            # gives what successive projections give
+            w = Polynomial.combine([(vec, 1)] + [(u, -inner_product(vec, u) / n_sq) for u, n_sq in done])
             norm_sq = inner_product(w, w)
             if norm_sq <= 0:
                 raise ConsistencyError(
@@ -274,11 +273,10 @@ def verify_self_adjoint(d: int, ell: int) -> bool:
 
 def char_poly_check(d: int, ell: int) -> bool:
     """Compare the characteristic polynomial of the monomial-basis matrix
-    with the product of (x - lambda) over the spectrum."""
+    with the product of (x - lambda) over the formula eigenvalues of the
+    basis; neither side goes through the product-basis matrix."""
     _require_component(d, ell)
     entries = _t_matrix_entries(d, ell, "monomial")
     actual = linalg.char_poly([list(row) for row in entries])
-    expected = linalg.poly_from_roots(
-        [Fraction(v) for v in spectrum(d, ell).eigenvalues]
-    )
+    expected = linalg.poly_from_roots([Fraction(sequence_eigenvalue(p)) for p in s_basis(d, ell)])
     return actual == expected

@@ -20,7 +20,7 @@ from . import genfun, linalg
 from .errors import ConsistencyError
 from .genfun import GCombination, GIndex, GProduct, canonical_product, g_poly, g_value_is_zero, nonzero_factors
 from .partitions import is_regular_pair
-from .poly import Polynomial
+from .poly import Polynomial, collect
 
 
 def apply_t(f: Polynomial) -> Polynomial:
@@ -73,24 +73,8 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     kill the term, and g(0,0) factors are dropped.
     """
     work = nonzero_factors(factors)
-    out: GCombination = {}
-
-    def add(updated: list[GIndex], coeff: Fraction) -> None:
-        if not coeff:
-            return
-        for d, ell in updated:
-            if (d, ell) != (0, 0) and g_value_is_zero(d, ell):
-                return
-        key = canonical_product(updated)
-        total = out.get(key, Fraction(0)) + coeff
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-
     diagonal = sum(Fraction((ell - 1) * (2 * d - ell), 2) for d, ell in work)
-    add(work, Fraction(diagonal))
-
+    terms = [(work, Fraction(diagonal))]
     for i in range(len(work)):
         di, li = work[i]
         for j in range(i + 1, len(work)):
@@ -99,13 +83,17 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
                 updated = list(work)
                 updated[i] = (di + p, li - 1)
                 updated[j] = (dj - p, lj + 1)
-                add(updated, -Fraction(lj * (lj + 1)))
+                terms.append((updated, -Fraction(lj * (lj + 1))))
             for p in range(1, dj + 1):
                 updated = list(work)
                 updated[i] = (di + p, li + 1)
                 updated[j] = (dj - p, lj - 1)
-                add(updated, Fraction(li * (li + 1)))
-    return out
+                terms.append((updated, Fraction(li * (li + 1))))
+    return collect(
+        (canonical_product(updated), c)
+        for updated, c in terms
+        if not any(g_value_is_zero(d, ell) for d, ell in updated)  # g(0,0) = 1 is not zero
+    )
 
 
 def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
@@ -153,13 +141,12 @@ def straighten_product(product: GProduct, memo: dict[GProduct, GCombination]) ->
     if len(product) == 2:
         out = straighten_pair(d1, l1, d2, l2)
     else:
-        out = {}
         head, tail = product[:i], product[i + 2 :]
-        for pair, c in straighten_product(product[i : i + 2], memo).items():
-            rest = straighten_product(canonical_product(head + pair + tail), memo)
-            for q, cq in rest.items():
-                out[q] = out.get(q, Fraction(0)) + c * cq
-        out = {q: c for q, c in out.items() if c}
+        out = collect(
+            (q, c * cq)
+            for pair, c in straighten_product(product[i : i + 2], memo).items()
+            for q, cq in straighten_product(canonical_product(head + pair + tail), memo).items()
+        )
     memo[product] = out
     return out
 
@@ -183,7 +170,7 @@ def alternating_identity_residual(n: int, m: int, p: int, lp: int) -> Polynomial
     if not 2 * p - 1 <= lp <= 2 * m - 1:
         raise ValueError(f"lp must satisfy 2p-1 <= lp <= 2m-1, got lp={lp}")
     d, ell = 2 * n + 1, 2 * m
-    total = Polynomial.zero()
+    terms = []
     for d1 in range(0, d + 1):
         for l1 in range(0, ell + 1):
             d2, l2 = d - d1, ell - l1
@@ -196,5 +183,5 @@ def alternating_identity_residual(n: int, m: int, p: int, lp: int) -> Polynomial
                 if j != lp:
                     c *= l1 - j
             if c:
-                total = total + g_poly(d1, l1) * g_poly(d2, l2) * c
-    return total
+                terms.append((g_poly(d1, l1) * g_poly(d2, l2), c))
+    return Polynomial.combine(terms)

@@ -7,8 +7,9 @@ Faddeev-LeVerrier traces and Leibniz permanent-style determinants instead of
 Hessenberg reduction for characteristic polynomials, Newton's recurrence
 for the complete symmetric functions, the monomial route through the
 expansion matrix for the product-basis matrix of T, a solve
-against the whole expansion matrix for the straightening of a pair, and a
-dense null space per eigenvalue for its eigenvectors.
+against the whole expansion matrix for the straightening of a pair, a
+dense null space per eigenvalue for its eigenvectors, and successive
+projections for their Gram-Schmidt orthogonalisation.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from hypothesis import strategies as st
 from fockspectra import (
     Polynomial,
     apply_t,
+    eigenbasis,
     expand_in_gbasis,
     g_poly,
     g_product_expand,
+    inner_product,
     linalg,
     monomial,
     monomial_basis,
@@ -154,6 +157,25 @@ def eigenbasis_reference(d: int, ell: int) -> list[tuple[Fraction, tuple[Fractio
     for lam in sorted({u[i][i] for i in range(n)}):
         shifted = [[u[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
         out.extend((lam, tuple(vec)) for vec in linalg.null_space(shifted))
+    return out
+
+
+def gram_schmidt_reference(d: int, ell: int) -> list[tuple[int, Polynomial, Fraction]]:
+    """(eigenvalue, polynomial, squared norm) for the eigenfunctions of
+    eigenbasis, eigenspace by eigenspace in ascending order, each made
+    orthogonal to the earlier ones of its eigenspace by successive
+    projections: each one projects what the previous ones left."""
+    groups: dict[int, list[Polynomial]] = {}
+    for fn in eigenbasis(d, ell):
+        groups.setdefault(fn.eigenvalue, []).append(fn.polynomial)
+    out = []
+    for lam in sorted(groups):
+        done: list[tuple[Polynomial, Fraction]] = []
+        for w in groups[lam]:
+            for u, u_norm_sq in done:
+                w = w - u * (inner_product(w, u) / u_norm_sq)
+            done.append((w, inner_product(w, w)))
+        out.extend((lam, w, norm_sq) for w, norm_sq in done)
     return out
 
 

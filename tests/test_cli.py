@@ -337,6 +337,15 @@ def test_csv_unavailable_elsewhere(capsys):
     assert "--csv" in err
 
 
+def test_csv_is_refused_before_the_command_runs(capsys, monkeypatch):
+    def sweep(max_d):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "_verify_checks", sweep)
+    code, out, err = run_cli(capsys, "verify", "--max-d", "14", "--csv")
+    assert (code, out, err) == (2, "", "error: --csv is only available for spectrum and tmatrix\n")
+
+
 def test_output_is_deterministic(capsys):
     runs = [run_cli(capsys, "spectrum", "6", "3", "--json", "--eigenvectors")[1] for _ in range(2)]
     assert runs[0] == runs[1]
@@ -393,13 +402,11 @@ def test_cli_output_matches_the_recorded_digests(monkeypatch):
     """Replays every recorded CLI request of the benchmark in process; the stdout
     of each must hash to its digest in perfbench/digests.json."""
     workloads, recorded = _bench_workloads(monkeypatch)
-    # the cold spectrum ladder and the full sweep take seconds each
-    slow = {("spectrum", str(d), str(ell)) for d, ell in workloads.SPECTRUM_LADDER}
-    slow.add(("verify", "--max-d", str(workloads.VERIFY_MAX_D)))
-    requests = sorted(
-        argv for mode, argv in workloads.all_requests() if mode == "cli" and argv[:3] not in slow
-    )
+    requests = sorted(argv for mode, argv in workloads.all_requests() if mode == "cli")
     assert len(requests) > 1000
+    assert ("verify", "--max-d", str(workloads.VERIFY_MAX_D), "--json") in requests
+    ladder = {("spectrum", str(d), str(ell)) for d, ell in workloads.SPECTRUM_LADDER}
+    assert ladder <= {argv[:3] for argv in requests}
     mismatches = []
     for argv in requests:
         buf = io.StringIO()

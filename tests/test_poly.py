@@ -36,6 +36,17 @@ def test_monomial_normalization():
         monomial({1: -1})
 
 
+@given(st.lists(st.tuples(oracles.polynomials(), st.integers(-3, 3) | oracles.small_fractions), max_size=5))
+def test_combine_is_the_fold_of_sums_and_scalar_products(pairs):
+    pairs += [(f, -c) for f, c in pairs[::2]]  # sums that cancel to zero
+    combined = Polynomial.combine(pairs)
+    fold = Polynomial.zero()
+    for f, c in pairs:
+        fold = fold + f * c
+    assert combined == fold
+    assert all(type(c) is Fraction and c != 0 for _, c in combined.terms())
+
+
 def test_ring_examples():
     assert x(1) * x(2) == Polynomial({monomial({1: 1, 2: 1}): 1})
     assert (x(2) + x(2) * Fraction(-1)).is_zero()

@@ -309,6 +309,17 @@ def test_orthogonal_eigenbasis_sweep():
                     assert inner_product(fns[i].polynomial, fns[j].polynomial) == 0
 
 
+@pytest.mark.parametrize(
+    "component",
+    [(d, ell) for d in range(1, 11) for ell in range(1, d + 1)]
+    + [(12, 4), (13, 5), (14, 6), (16, 8), (14, 5)],  # the benchmark's eigen_cold components
+    ids=str,
+)
+def test_orthogonal_eigenbasis_matches_successive_projections(component):
+    fns = [(f.eigenvalue, f.polynomial, f.norm_squared) for f in orthogonal_eigenbasis(*component)]
+    assert fns == oracles.gram_schmidt_reference(*component)
+
+
 def test_self_adjoint_hand_example():
     # monomial matrix [[2,2],[1,1]] and Gram diag(1,2) on the (4,2) component
     m = t_matrix(4, 2, basis="monomial").entries
@@ -344,6 +355,14 @@ def test_char_poly_check_reads_only_the_monomial_matrix(monkeypatch):
     monkeypatch.setattr(linalg, "char_poly", lambda rows: seen.append(rows) or real(rows))
     assert char_poly_check(7, 3)
     assert seen == [[list(row) for row in t_matrix(7, 3, basis="monomial").entries]]
+
+
+def test_char_poly_check_never_straightens(monkeypatch, cold_caches):
+    def refuse(*args):
+        raise AssertionError("char_poly_check went through the product basis")
+
+    monkeypatch.setattr(transfer, "straighten_pair", refuse)
+    assert char_poly_check(12, 4)
 
 
 def test_char_poly_small_cases():
