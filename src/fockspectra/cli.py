@@ -120,7 +120,7 @@ def _parse_partition_arg(text: str) -> tuple[int, ...]:
         raise UsageError(str(e)) from None
 
 
-def _run_spectrum(args) -> tuple[dict, str, Optional[str]]:
+def _run_spectrum(args) -> tuple[dict, str, str]:
     d, ell = _component(args)
     report = spectral.spectrum(d, ell, with_eigenvectors=args.eigenvectors)
     entries = []
@@ -153,7 +153,7 @@ def _run_spectrum(args) -> tuple[dict, str, Optional[str]]:
     return result, human, _csv([["eigenvalue", "sequence"]] + rows)
 
 
-def _run_basis(args) -> tuple[dict, str, Optional[str]]:
+def _run_basis(args) -> tuple[dict, str]:
     d, ell = _component(args)
     basis = spectral.s_basis(d, ell)
     diagrams = [partitions.profile_to_partition(p) for p in basis]
@@ -165,19 +165,19 @@ def _run_basis(args) -> tuple[dict, str, Optional[str]]:
     lines = [f"basis of component ({d},{ell}), {len(basis)} elements:"]
     for p, parts in zip(basis, diagrams):
         lines.append(f"  {gproduct_str(p)}  <->  partition {parts}")
-    return result, "\n".join(lines), None
+    return result, "\n".join(lines)
 
 
-def _run_gpoly(args) -> tuple[dict, str, Optional[str]]:
+def _run_gpoly(args) -> tuple[dict, str]:
     d, ell = args.d, args.ell
     _require(d >= 0 and ell >= 0, f"need d, ell >= 0, got ({d}, {ell})")
     _guard_dimension(d, ell, args.max_dim)
     f = genfun.g_poly(d, ell)
     result = {"d": d, "ell": ell, "polynomial": poly_payload(f), "text": str(f)}
-    return result, str(f), None
+    return result, str(f)
 
 
-def _run_straighten(args) -> tuple[dict, str, Optional[str]]:
+def _run_straighten(args) -> tuple[dict, str]:
     regular = partitions.is_regular_pair(args.d1, args.l1, args.d2, args.l2)
     if not regular:  # an irregular pair is solved on the component of the product
         _guard_dimension(args.d1 + args.d2, args.l1 + args.l2, args.max_dim)
@@ -193,10 +193,10 @@ def _run_straighten(args) -> tuple[dict, str, Optional[str]]:
     }
     label = "regular (unchanged)" if regular else "straightened"
     human = f"g({args.d1},{args.l1})g({args.d2},{args.l2}) {label}: {gcombination_str(comb)}"
-    return result, human, None
+    return result, human
 
 
-def _run_hooks(args) -> tuple[dict, str, Optional[str]]:
+def _run_hooks(args) -> tuple[dict, str]:
     parts = _parse_partition_arg(args.partition)
     profile = partitions.hook_leg_profile(parts)
     result = {
@@ -212,10 +212,10 @@ def _run_hooks(args) -> tuple[dict, str, Optional[str]]:
         f"hook/leg pairs: {pairs}\n"
         f"leg increments: {incs}"
     )
-    return result, human, None
+    return result, human
 
 
-def _run_tmatrix(args) -> tuple[dict, str, Optional[str]]:
+def _run_tmatrix(args) -> tuple[dict, str, str]:
     d, ell = _component(args)
     matrix = spectral.t_matrix(d, ell, basis=args.basis)
     if args.basis == "monomial":
@@ -308,7 +308,7 @@ def _verify_checks(max_d: int) -> list[dict]:
     return checks
 
 
-def _run_verify(args) -> tuple[dict, str, Optional[str]]:
+def _run_verify(args) -> tuple[dict, str]:
     d = args.max_d
     _require(d >= 1, f"--max-d must be >= 1, got {d}")
     # partitions of (d, ell) embed in (d + 1, ell) by adding 1 to the largest part, so use
@@ -331,7 +331,7 @@ def _run_verify(args) -> tuple[dict, str, Optional[str]]:
         for f in c["failures"]:
             lines.append(f"    failed: {f}")
     lines.append("all checks passed" if all_passed else "VERIFICATION FAILED")
-    return result, "\n".join(lines), None
+    return result, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -356,31 +356,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectra of the degree/length-preserving operator on symmetric functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    with_csv = []  # the commands whose runner also returns a CSV text
 
-    def command(name, run, help, *int_positionals):
+    def command(name, run, help, *int_positionals, has_csv=False):
+        if has_csv:
+            with_csv.append(name)
         p = sub.add_parser(name, parents=[common], help=help)
         for dest in int_positionals:
             p.add_argument(dest, type=int)
         p.set_defaults(run=run)
         return p
 
-    p = command("spectrum", _run_spectrum, "eigenvalues on a component", "d", "ell")
+    p = command("spectrum", _run_spectrum, "eigenvalues on a component", "d", "ell", has_csv=True)
     p.add_argument("--eigenvectors", action="store_true", help="include exact eigenvectors")
     command("basis", _run_basis, "product basis with Young diagrams", "d", "ell")
     command("gpoly", _run_gpoly, "the generator g(d, ell)", "d", "ell")
     command("straighten", _run_straighten, "rewrite a product of two generators", "d1", "l1", "d2", "l2")
     p = command("hooks", _run_hooks, "diagonal hook/leg statistics of a partition")
     p.add_argument("partition", help="comma-separated weakly decreasing positive parts, e.g. 7,7,5,4,3,2")
-    p = command("tmatrix", _run_tmatrix, "matrix of the operator on a component", "d", "ell")
+    p = command("tmatrix", _run_tmatrix, "matrix of the operator on a component", "d", "ell", has_csv=True)
     p.add_argument("--basis", choices=["gbasis", "monomial"], default="gbasis")
     p = command("verify", _run_verify, "run the full verification sweep")
     p.add_argument("--max-d", type=int, default=8, dest="max_d")
-
+    parser.set_defaults(csv_commands=tuple(with_csv))
     return parser
 
 
 def _params_of(args: argparse.Namespace) -> dict:
-    skip = {"command", "run", "json", "csv", "max_dim"}
+    skip = {"command", "run", "json", "csv", "csv_commands", "max_dim"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -395,12 +398,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _answer(args: argparse.Namespace) -> int:
-    if args.csv and args.command not in ("spectrum", "tmatrix"):  # refused before any work
-        print("error: --csv is only available for spectrum and tmatrix", file=sys.stderr)
+    if args.csv and args.command not in args.csv_commands:  # refused before any work
+        print(f"error: --csv is only available for {' and '.join(args.csv_commands)}", file=sys.stderr)
         return EXIT_USAGE
     envelope = {"command": args.command, "params": _params_of(args), "status": "ok"}
     try:
-        result, human, csv_text = args.run(args)
+        result, human, *csv_form = args.run(args)  # only a command with a CSV form returns one
     except (UsageError, ConsistencyError, *RESOURCE_ERRORS) as e:
         text = str(e)
         if isinstance(e, RESOURCE_ERRORS):
@@ -412,7 +415,7 @@ def _answer(args: argparse.Namespace) -> int:
             print(f"error: {text}", file=sys.stderr)
         return EXIT_FAIL if isinstance(e, ConsistencyError) else EXIT_USAGE
     if args.csv:
-        print(csv_text)
+        print(csv_form[0])
     elif args.json:
         envelope["result"] = result
         print(json.dumps(envelope, indent=2))

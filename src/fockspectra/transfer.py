@@ -3,7 +3,9 @@
     T = 1/2 * sum over a+b = p+q (all >= 1) of  x_a x_b d/dx_p d/dx_q
 
 in two realizations: directly on polynomials, and through its closed-form
-action on products of the generators g(d, l).  Also the straightening of
+action on products of the generators g(d, l), which builds only the terms
+whose generators are nonzero.  Each realization sums its terms through
+poly.collect.  Also the straightening of
 irregular two-factor products into regular ones, of any product into the
 basis of admissible products, and the alternating product identity used to
 cross-check that straightening exists.
@@ -26,36 +28,35 @@ from .poly import Polynomial, collect
 def apply_t(f: Polynomial) -> Polynomial:
     """Apply T at the monomial level.
 
-    Iterates over ordered derivative pairs (p, q) in the support of each
-    term (p = q allowed), multiplies by sum over a+b = p+q of x_a x_b, and
-    halves the total at the end; the 1/2 prefactor absorbs the double count
-    of the symmetric pairs.
+    Each ordered pair (p, q) of variables of a term c*m (p = q allowed) gives
+    c * a_p * (a_q - [p = q]) / 2 to every m x_a x_b / (x_p x_q) with
+    a + b = p + q, where a_k is the exponent of x_k in m; one collect sums them.
     """
-    acc: dict = {}
-    for mono, coeff in f.terms():
-        exps = dict(mono)
-        for p, ap in exps.items():
-            for q, aq in exps.items():
-                if p == q:
-                    if ap < 2:
-                        continue
-                    scale = coeff * ap * (ap - 1)
-                else:
-                    scale = coeff * ap * aq
-                lowered = dict(exps)
-                for v in (p, q):
-                    if lowered[v] == 1:
-                        del lowered[v]
-                    else:
-                        lowered[v] -= 1
-                n = p + q
-                for a in range(1, n):
-                    raised = dict(lowered)
-                    raised[a] = raised.get(a, 0) + 1
-                    raised[n - a] = raised.get(n - a, 0) + 1
-                    key = tuple(sorted(raised.items()))
-                    acc[key] = acc.get(key, 0) + scale
-    return Polynomial(acc) * Fraction(1, 2)
+
+    def images():
+        for mono, coeff in f._terms.items():
+            exps = dict(mono)
+            for p, ap in exps.items():
+                for q, aq in exps.items():
+                    if p == q:
+                        if ap < 2:
+                            continue
+                        aq -= 1
+                    scale = coeff * (ap * aq) / 2
+                    lowered = dict(exps)
+                    for v in (p, q):
+                        if lowered[v] == 1:
+                            del lowered[v]
+                        else:
+                            lowered[v] -= 1
+                    n = p + q
+                    for a in range(1, n):
+                        raised = dict(lowered)
+                        raised[a] = raised.get(a, 0) + 1
+                        raised[n - a] = raised.get(n - a, 0) + 1
+                        yield tuple(sorted(raised.items())), scale
+
+    return Polynomial._of(collect(images()))
 
 
 def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
@@ -69,31 +70,25 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
             - sum_{i<j} sum_{p>=0} l_j (l_j + 1) P[(d_i+p, l_i-1), (d_j-p, l_j+1)]
             + sum_{i<j} sum_{p>=1} l_i (l_i + 1) P[(d_i+p, l_i+1), (d_j-p, l_j-1)]
 
-    where the bracket replaces the i-th and j-th factors, vanished factors
-    kill the term, and g(0,0) factors are dropped.
+    where the bracket replaces the i-th and j-th factors.  Only the p that
+    leave both nonzero (g(d, l) = 0 unless d >= l >= 1 or d = l = 0) build a
+    term: 0 <= p < d_j - l_j when l_i >= 2 in the first sum; in the second,
+    1 <= p <= d_j - l_j + 1 when l_j >= 2, and p = d_j alone when l_j = 1,
+    whose factor g(0,0) = 1 is dropped.
     """
     work = nonzero_factors(factors)
     diagonal = sum(Fraction((ell - 1) * (2 * d - ell), 2) for d, ell in work)
-    terms = [(work, Fraction(diagonal))]
-    for i in range(len(work)):
-        di, li = work[i]
+    terms = [(canonical_product(work), Fraction(diagonal))]
+    for i, (di, li) in enumerate(work):
         for j in range(i + 1, len(work)):
             dj, lj = work[j]
-            for p in range(0, dj + 1):
-                updated = list(work)
-                updated[i] = (di + p, li - 1)
-                updated[j] = (dj - p, lj + 1)
-                terms.append((updated, -Fraction(lj * (lj + 1))))
-            for p in range(1, dj + 1):
-                updated = list(work)
-                updated[i] = (di + p, li + 1)
-                updated[j] = (dj - p, lj - 1)
-                terms.append((updated, Fraction(li * (li + 1))))
-    return collect(
-        (canonical_product(updated), c)
-        for updated, c in terms
-        if not any(g_value_is_zero(d, ell) for d, ell in updated)  # g(0,0) = 1 is not zero
-    )
+            others = work[:i] + work[i + 1 : j] + work[j + 1 :]
+            down, up = Fraction(-lj * (lj + 1)), Fraction(li * (li + 1))
+            for p in range(dj - lj if li > 1 else 0):
+                terms.append((canonical_product(others + [(di + p, li - 1), (dj - p, lj + 1)]), down))
+            for p in range(1 if lj > 1 else dj, dj - lj + 2):
+                terms.append((canonical_product(others + [(di + p, li + 1), (dj - p, lj - 1)]), up))
+    return collect(terms)
 
 
 def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fockspectra
-from fockspectra import cli, g_poly, spectral, spectrum
+from fockspectra import cli, g_poly, spectral, spectrum, transfer
 from fockspectra.errors import ConsistencyError
 
 
@@ -162,6 +162,24 @@ def test_verify_reports_a_spectrum_that_raises(capsys, monkeypatch):
     for name in ("spectrum consistency", "dominant eigenvalue", "zero-eigenvalue law"):
         assert checks[name]["status"] == "fail"
         assert len(checks[name]["failures"]) == checks[name]["cases"] == 6
+
+
+def test_verify_catches_a_wrong_structural_coefficient(capsys, monkeypatch):
+    real = transfer.apply_t_structural
+
+    def perturbed(factors):
+        comb = real(factors)
+        if tuple(factors) == ((3, 1), (2, 2)):
+            comb[(4, 2), (1, 1)] += 1  # the true coefficient is 2
+        return comb
+
+    monkeypatch.setattr(transfer, "apply_t_structural", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--max-d", "6", "--json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    structural = checks.pop("structural action agreement")
+    assert (structural["status"], structural["failures"]) == ("fail", ["product g(3,1)g(2,2)"])
+    assert all(c["status"] == "pass" for c in checks.values())
 
 
 def test_verify_guard_names_the_largest_component_of_the_sweep(capsys):
