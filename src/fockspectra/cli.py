@@ -245,6 +245,7 @@ def _run_tmatrix(args) -> tuple[dict, str, str]:
 def _verify_checks(max_d: int) -> list[dict]:
     pairs = [(d, ell) for d in range(1, max_d + 1) for ell in range(1, d + 1)]
     eigenvalues = {}  # of each component whose spectrum did not raise
+    columns = {}  # T of each monomial of a component: the columns of its monomial-basis matrix
 
     def component_check(holds):  # a failure names only the component
         return lambda d, ell: None if holds(d, ell) else f"({d},{ell})"
@@ -272,8 +273,13 @@ def _verify_checks(max_d: int) -> list[dict]:
     def zero_law(d, ell):
         return (d, ell) in eigenvalues and (0 in eigenvalues[d, ell]) == (d >= ell * ell)
 
-    def structural(p):
-        direct = transfer.apply_t(genfun.g_product_expand(p))
+    def structural(p, d, ell):  # T(f) = sum of c * T(m) over the terms c * m of f
+        if (d, ell) not in columns:
+            matrix = spectral.t_matrix(d, ell, basis="monomial")
+            images = (Polynomial(zip(matrix.row_labels, col)) for col in zip(*matrix.entries))
+            columns[d, ell] = dict(zip(matrix.col_labels, images))
+        image_of = columns[d, ell]
+        direct = Polynomial.combine((image_of[m], c) for m, c in genfun.g_product_expand(p).terms())
         if direct != genfun.expand_combination(transfer.apply_t_structural(p)):
             return f"product {gproduct_str(p)}"
 
@@ -281,7 +287,7 @@ def _verify_checks(max_d: int) -> list[dict]:
         if not transfer.alternating_identity_residual(n, m, p, lp).is_zero():
             return f"(n={n},m={m},p={p},lp={lp})"
 
-    products = ((p,) for d, ell in pairs for p in genfun.spanning_products(d, ell))
+    products = ((p, d, ell) for d, ell in pairs for p in genfun.spanning_products(d, ell))
     residuals = (
         (n, m, p, lp)
         for n in range((max_d + 1) // 2)  # n = (d - 1) // 2 for each odd d <= max_d

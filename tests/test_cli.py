@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fockspectra
-from fockspectra import cli, g_poly, spectral, spectrum, transfer
+from fockspectra import Polynomial, cli, g_poly, genfun, monomial, monomial_basis, spectral, spectrum, transfer
 from fockspectra.errors import ConsistencyError
 
 
@@ -180,6 +180,41 @@ def test_verify_catches_a_wrong_structural_coefficient(capsys, monkeypatch):
     structural = checks.pop("structural action agreement")
     assert (structural["status"], structural["failures"]) == ("fail", ["product g(3,1)g(2,2)"])
     assert all(c["status"] == "pass" for c in checks.values())
+
+
+def test_verify_catches_a_wrong_image_of_one_monomial(capsys, monkeypatch, cold_caches):
+    m = monomial({1: 1, 2: 2})  # x1*x2^2, on the component (5,3)
+    real = spectral.apply_t  # the binding that builds the monomial-basis matrix
+
+    def perturbed(f):
+        image = real(f)
+        return image + Polynomial({m: 1}) if f == Polynomial({m: 1}) else image
+
+    monkeypatch.setattr(spectral, "apply_t", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--max-d", "6", "--json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
+    structural = checks["structural action agreement"]
+    containing = [p for p in genfun.spanning_products(5, 3) if genfun.g_product_expand(p).coefficient(m)]
+    assert containing and structural["status"] == "fail"
+    assert structural["failures"] == [f"product {genfun.gproduct_str(p)}" for p in containing]
+
+
+def test_verify_applies_t_to_each_monomial_once(monkeypatch, cold_caches):
+    calls, real = [], transfer.apply_t
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(transfer, "apply_t", counted)
+    monkeypatch.setattr(spectral, "apply_t", counted)
+    assert all(c["status"] == "pass" for c in cli._verify_checks(8))
+    components = [(d, ell) for d in range(1, 9) for ell in range(1, d + 1)]
+    monomials = [Polynomial({m: 1}) for d, ell in components for m in monomial_basis(d, ell)]
+    generators = [g_poly(d, ell) for d, ell in components]  # the dominant-eigenvalue check
+    assert (len(monomials), len(generators)) == (66, 36)
+    assert sorted(map(repr, calls)) == sorted(map(repr, monomials + generators))
 
 
 def test_verify_guard_names_the_largest_component_of_the_sweep(capsys):

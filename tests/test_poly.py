@@ -53,6 +53,19 @@ def test_ring_examples():
     assert (x(1) + x(2)) * (x(1) - x(2)) == x(1) ** 2 - x(2) ** 2
 
 
+@given(oracles.polynomials(), oracles.polynomials())
+def test_sum_drops_cancelled_terms_and_shares_no_dict(f, g):
+    before = dict(f._terms), dict(g._terms)
+    for a, b in ((f, g), (g, f), (f + g, -g), (f, -f), (f, Fraction(1, 3)), (x(1), -x(1) + f)):
+        total = a + b
+        b = b if isinstance(b, Polynomial) else Polynomial({(): b})
+        sums = {m: a.coefficient(m) + b.coefficient(m) for m in {*a._terms, *b._terms}}
+        assert total._terms == {m: c for m, c in sums.items() if c}
+        assert all(type(c) is Fraction for c in total._terms.values())
+        assert total._terms is not a._terms and total._terms is not b._terms
+    assert (f._terms, g._terms) == before  # the operands are untouched
+
+
 @settings(max_examples=60)
 @given(oracles.polynomials(), oracles.polynomials(), oracles.polynomials())
 def test_ring_laws(f, g, h):
