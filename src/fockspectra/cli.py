@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import genfun, partitions, spectral, transfer
 from .errors import ConsistencyError
 from .genfun import GCombination, GProduct, gcombination_str, gproduct_str
-from .poly import Monomial, Polynomial, mono_str, monomial_basis, rational_str
+from .poly import Monomial, Polynomial, collect, mono_norm_sq, mono_str, monomial_basis, rational_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -245,7 +245,7 @@ def _run_tmatrix(args) -> tuple[dict, str, str]:
 def _verify_checks(max_d: int) -> list[dict]:
     pairs = [(d, ell) for d in range(1, max_d + 1) for ell in range(1, d + 1)]
     eigenvalues = {}  # of each component whose spectrum did not raise
-    columns = {}  # T of each monomial of a component: the columns of its monomial-basis matrix
+    columns = {}  # 2T of each monomial of a component, scaled, read off its monomial-basis matrix
 
     def component_check(holds):  # a failure names only the component
         return lambda d, ell: None if holds(d, ell) else f"({d},{ell})"
@@ -273,14 +273,19 @@ def _verify_checks(max_d: int) -> list[dict]:
     def zero_law(d, ell):
         return (d, ell) in eigenvalues and (0 in eigenvalues[d, ell]) == (d >= ell * ell)
 
-    def structural(p, d, ell):  # T(f) = sum of c * T(m) over the terms c * m of f
-        if (d, ell) not in columns:
+    def structural(p, d, ell):  # sum of F_m K[., m] over p's terms, against sum of 2 a_q F_q over 2T(p)
+        if (d, ell) not in columns:  # K[r, m] = 2 N(r) M[r, m] / N(m), N = mono_norm_sq; never rounded
             matrix = spectral.t_matrix(d, ell, basis="monomial")
-            images = (Polynomial(zip(matrix.row_labels, col)) for col in zip(*matrix.entries))
-            columns[d, ell] = dict(zip(matrix.col_labels, images))
+            monos, norms = matrix.row_labels, [mono_norm_sq(m) for m in matrix.row_labels]
+            scaled = [[v * 2 * n / nm for v, nm in zip(row, norms)] for n, row in zip(norms, matrix.entries)]
+            columns[d, ell] = {
+                m: [(r, k if k.denominator > 1 else int(k)) for r, k in zip(monos, col) if k]
+                for m, col in zip(monos, zip(*scaled))
+            }
         image_of = columns[d, ell]
-        direct = Polynomial.combine((image_of[m], c) for m, c in genfun.g_product_expand(p).terms())
-        if direct != genfun.expand_combination(transfer.apply_t_structural(p)):
+        direct = collect((r, f * k) for m, f in genfun._expand_canonical(p).items() for r, k in image_of[m])
+        closed = transfer._twice_t_structural(p).items()
+        if direct != collect((r, c * f) for q, c in closed for r, f in genfun._expand_canonical(q).items()):
             return f"product {gproduct_str(p)}"
 
     def alternating(n, m, p, lp):

@@ -9,26 +9,29 @@ Extracting that coefficient directly gives the closed form used here:
 with g(0, 0) = 1 and g(d, l) = 0 unless d >= l >= 1.  Products of these
 generators indexed by admissible sequences form a basis of each bigraded
 component.  Expanded products live in one store, _expand_canonical, keyed by
-the canonical factor sequence; a generator is its one-factor product, and
-g_poly returns that very object.  Column j of the expansion matrix E holds
-the monomial coefficients of the j-th basis product.  _expansion_lu keeps,
-per component and bound on the factor count, the sparse LU (linalg.lu_factor)
-of the columns of E whose products have at most that many factors, built
-straight from their expanded terms.  expand_in_gbasis solves on all of E;
-inside the package only transfer.straighten_pair solves, on the products
-with at most two factors.  expansion_matrix gives E densely, for the tests.
+the canonical factor sequence, in scaled integer coordinates
+F_m = c_m * mono_norm_sq(m); a generator is its one-factor product, and g_poly
+returns a fresh Fraction polynomial, not the stored object.  Column j of the
+expansion matrix E holds the monomial coefficients of the j-th basis product.
+_expansion_lu keeps, per component and bound on the factor count, the sparse
+LU (linalg.lu_factor) of the columns of E whose products have at most that
+many factors, built from their scaled terms (row m scaled by mono_norm_sq(m)).
+expand_in_gbasis solves on all of E; inside the package only
+transfer.straighten_pair solves, on the products with at most two factors.
+expansion_matrix gives E densely, for the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb as binomial
 from typing import Iterable
 
 from . import linalg
 from .errors import ConsistencyError, SingularMatrixError
-from .partitions import admissible_sequences, pair_sort_key, partitions_with_length, product_sort_key
-from .poly import Polynomial, bidegree, combination_str, mono_norm_sq, monomial_basis, partition_monomial
+from .partitions import admissible_sequences, pair_sort_key, product_sort_key
+from .poly import Polynomial, bidegree, collect, combination_str, mono_norm_sq, monomial_basis
 
 GIndex = tuple[int, int]
 GProduct = tuple[GIndex, ...]
@@ -41,11 +44,9 @@ def g_value_is_zero(d: int, ell: int) -> bool:
 
 
 def g_poly(d: int, ell: int) -> Polynomial:
-    """The generator g(d, l): 0 when it vanishes, otherwise the one-factor
-    product itself, so every generator is stored once, in _expand_canonical."""
-    if g_value_is_zero(d, ell):
-        return Polynomial.zero()
-    return g_product_expand([(d, ell)])
+    """The generator g(d, l): 0 when it vanishes, otherwise its one-factor
+    product, read from _expand_canonical, where every generator is stored once."""
+    return expand_combination({} if g_value_is_zero(d, ell) else {((d, ell),): 1})
 
 
 def nonzero_factors(factors: Iterable[GIndex]) -> list[GIndex]:
@@ -67,25 +68,39 @@ def canonical_product(factors: Iterable[GIndex]) -> GProduct:
     return tuple(sorted(nonzero_factors(factors), key=pair_sort_key))
 
 
-@lru_cache(maxsize=None)  # read by every later g_poly and g_product_expand of the same product
-def _expand_canonical(product: GProduct) -> Polynomial:
-    if len(product) == 1:
-        (d, ell), = product
-        monos = (partition_monomial(parts) for parts in partitions_with_length(d, ell))
-        return Polynomial({m: Fraction(1, mono_norm_sq(m)) for m in monos})
-    out = Polynomial.one()
-    for factor in product:
-        out = out * _expand_canonical((factor,))
+@lru_cache(maxsize=None)  # read by every later expansion of the same product
+def _expand_canonical(product: GProduct) -> dict:
+    """The scaled expansion of a canonical product; callers must not modify it."""
+
+    def times(f, g):  # F_m1 G_m2 prod_k C(a_k + b_k, b_k) onto m1 m2, for exponents a_k of m1, b_k of m2
+        for m1, a in f.items():
+            exps1 = dict(m1)
+            for m2, b in g.items():
+                exps, w = exps1.copy(), a * b
+                for k, e in m2:
+                    exps[k] = ak = exps.get(k, 0) + e
+                    w *= binomial(ak, e)
+                yield tuple(sorted(exps.items())), w
+
+    if len(product) < 2:  # a generator is all ones; the empty product is g(0,0) = 1
+        (d, ell), = product or ((0, 0),)
+        return dict.fromkeys(monomial_basis(d, ell), 1)
+    out = _expand_canonical(product[:1])
+    for factor in product[1:]:
+        out = collect(times(out, _expand_canonical((factor,))))
     return out
 
 
 def g_product_expand(factors: Iterable[GIndex]) -> Polynomial:
     """The polynomial g(d1,l1) * g(d2,l2) * ... (1 for the empty product)."""
-    return _expand_canonical(canonical_product(factors))
+    return expand_combination({tuple(factors): 1})
 
 
 def expand_combination(comb: GCombination) -> Polynomial:
-    return Polynomial.combine((g_product_expand(product), c) for product, c in comb.items())
+    """The sum of c * P over comb, summed in scaled coordinates and then divided by mono_norm_sq."""
+    terms = ((c, _expand_canonical(canonical_product(p))) for p, c in comb.items())
+    scaled = collect((m, c * f) for c, expanded in terms for m, f in expanded.items())
+    return Polynomial._of({m: Fraction(c, mono_norm_sq(m)) for m, c in scaled.items()})
 
 
 def complete_symmetric(k: int) -> Polynomial:
@@ -131,7 +146,7 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
     basis = admissible_sequences(d, ell)
     monos = monomial_basis(d, ell)
     cols = [_expand_canonical.__wrapped__(p) for p in basis]  # uncached, as in _expansion_lu
-    return tuple(tuple(f.coefficient(m) for f in cols) for m in monos)
+    return tuple(tuple(Fraction(f.get(m, 0), mono_norm_sq(m)) for f in cols) for m in monos)
 
 
 @lru_cache(maxsize=None)  # read by every later solve on the component
@@ -140,8 +155,8 @@ def _expansion_lu(d: int, ell: int, max_factors: int) -> tuple[tuple[GProduct, .
     the sparse LU of their columns of E."""
     products = tuple(p for p in admissible_sequences(d, ell) if len(p) <= max_factors)
     try:
-        # uncached: these expansions only feed lu_factor
-        return products, linalg.lu_factor(_expand_canonical.__wrapped__(p).terms() for p in products)
+        # uncached: these scaled expansions only feed lu_factor
+        return products, linalg.lu_factor(_expand_canonical.__wrapped__(p).items() for p in products)
     except SingularMatrixError as e:
         raise ConsistencyError(
             f"expansion matrix for component ({d},{ell}) is singular; "
@@ -161,7 +176,8 @@ def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
             raise ValueError(
                 f"term {m} has bidegree {tuple(bidegree(m))}, expected ({d}, {ell})"
             )
-    return tuple(linalg.lu_solve(_expansion_lu(d, ell, ell)[1], f.terms()))
+    scaled = ((m, c * mono_norm_sq(m)) for m, c in f.terms())  # the rows of the scaled columns
+    return tuple(linalg.lu_solve(_expansion_lu(d, ell, ell)[1], scaled))
 
 
 def gproduct_str(product: GProduct) -> str:

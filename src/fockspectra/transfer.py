@@ -5,10 +5,10 @@
 in two realizations: directly on polynomials, and through its closed-form
 action on products of the generators g(d, l), which builds only the terms
 whose generators are nonzero.  Each realization sums its terms through
-poly.collect.  Also the straightening of
+poly.collect, the closed form in integers, as 2T.  Also the straightening of
 irregular two-factor products into regular ones, of any product into the
 basis of admissible products, and the alternating product identity used to
-cross-check that straightening exists.
+cross-check that straightening exists, both on genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
@@ -16,11 +16,12 @@ A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
 from . import genfun, linalg
 from .errors import ConsistencyError
-from .genfun import GCombination, GIndex, GProduct, canonical_product, g_poly, g_value_is_zero, nonzero_factors
+from .genfun import GCombination, GIndex, GProduct, canonical_product, g_value_is_zero, nonzero_factors
 from .partitions import is_regular_pair
 from .poly import Polynomial, collect
 
@@ -74,16 +75,20 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     leave both nonzero (g(d, l) = 0 unless d >= l >= 1 or d = l = 0) build a
     term: 0 <= p < d_j - l_j when l_i >= 2 in the first sum; in the second,
     1 <= p <= d_j - l_j + 1 when l_j >= 2, and p = d_j alone when l_j = 1,
-    whose factor g(0,0) = 1 is dropped.
+    whose factor g(0,0) = 1 is dropped.  _twice_t_structural sums them as 2T.
     """
+    return {q: Fraction(c, 2) for q, c in _twice_t_structural(factors).items()}
+
+
+def _twice_t_structural(factors: Iterable[GIndex]) -> dict[GProduct, int]:
+    """2T of a product as {canonical product: int}; each term is canonicalised once."""
     work = nonzero_factors(factors)
-    diagonal = sum(Fraction((ell - 1) * (2 * d - ell), 2) for d, ell in work)
-    terms = [(canonical_product(work), Fraction(diagonal))]
+    terms = [(canonical_product(work), sum((ell - 1) * (2 * d - ell) for d, ell in work))]
     for i, (di, li) in enumerate(work):
         for j in range(i + 1, len(work)):
             dj, lj = work[j]
             others = work[:i] + work[i + 1 : j] + work[j + 1 :]
-            down, up = Fraction(-lj * (lj + 1)), Fraction(li * (li + 1))
+            down, up = -2 * lj * (lj + 1), 2 * li * (li + 1)
             for p in range(dj - lj if li > 1 else 0):
                 terms.append((canonical_product(others + [(di + p, li - 1), (dj - p, lj + 1)]), down))
             for p in range(1 if lj > 1 else dj, dj - lj + 2):
@@ -106,8 +111,9 @@ def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
     if is_regular_pair(d1, l1, d2, l2):
         return {((d1, l1), (d2, l2)): Fraction(1)}
     products, factors = genfun._expansion_lu(d1 + d2, l1 + l2, 2)
+    pair = genfun._expand_canonical.__wrapped__(((d1, l1), (d2, l2)))  # scaled, as the LU's columns
     try:
-        coords = linalg.lu_solve(factors, (g_poly(d1, l1) * g_poly(d2, l2)).terms())
+        coords = linalg.lu_solve(factors, pair.items())
     except ValueError as e:
         raise ConsistencyError(
             f"straightening g({d1},{l1})g({d2},{l2}) needs products of more than two factors"
@@ -165,18 +171,14 @@ def alternating_identity_residual(n: int, m: int, p: int, lp: int) -> Polynomial
     if not 2 * p - 1 <= lp <= 2 * m - 1:
         raise ValueError(f"lp must satisfy 2p-1 <= lp <= 2m-1, got lp={lp}")
     d, ell = 2 * n + 1, 2 * m
-    terms = []
+    comb = {}
     for d1 in range(0, d + 1):
         for l1 in range(0, ell + 1):
             d2, l2 = d - d1, ell - l1
             if g_value_is_zero(d1, l1) or g_value_is_zero(d2, l2):
                 continue
-            c = Fraction((-1) ** l2)
-            for i in range(1, 2 * p):
-                c *= d1 + p - n - i
-            for j in range(2 * p - 1, 2 * m):
-                if j != lp:
-                    c *= l1 - j
+            c = (-1) ** l2 * prod(d1 + p - n - i for i in range(1, 2 * p))
+            c *= prod(l1 - j for j in range(2 * p - 1, 2 * m) if j != lp)
             if c:
-                terms.append((g_poly(d1, l1) * g_poly(d2, l2), c))
-    return Polynomial.combine(terms)
+                comb[(d1, l1), (d2, l2)] = c
+    return genfun.expand_combination(comb)  # summed in scaled integer coordinates

@@ -5,8 +5,9 @@ exponentiation instead of the closed multiplicity formula, an explicit
 sum-over-derivative-pairs operator instead of the per-monomial loop,
 Faddeev-LeVerrier traces and Leibniz permanent-style determinants instead of
 Hessenberg reduction for characteristic polynomials, Newton's recurrence
-for the complete symmetric functions, the monomial route through the
-expansion matrix for the product-basis matrix of T, a solve
+for the complete symmetric functions, a Fraction fold of Polynomial products
+for the scaled integer store of expanded products, the monomial route
+through the expansion matrix for the product-basis matrix of T, a solve
 against the whole expansion matrix for the straightening of a pair, a
 dense null space per eigenvalue for its eigenvectors, and successive
 projections for their Gram-Schmidt orthogonalisation.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from hypothesis import strategies as st
 
@@ -106,6 +107,17 @@ def newton_h(kmax: int) -> list[Polynomial]:
             acc = acc + x(i) * hs[k - i] * i
         hs.append(acc / k)
     return hs
+
+
+def expand_product_reference(product) -> Polynomial:
+    """The product of the generators g(d, l) of a factor sequence, each built
+    from its closed form (every monomial m of bidegree (d, l) over the product
+    of its exponent factorials) and multiplied in Fractions."""
+    out = Polynomial.one()
+    for d, ell in product:
+        terms = {m: Fraction(1, prod(factorial(a) for _, a in m)) for m in monomial_basis(d, ell)}
+        out = out * Polynomial(terms)
+    return out
 
 
 # --- reference form of the operator -----------------------------------------

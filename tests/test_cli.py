@@ -1,10 +1,12 @@
 import json
 import contextlib
+import hashlib
 import importlib.util
 import io
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -165,15 +167,15 @@ def test_verify_reports_a_spectrum_that_raises(capsys, monkeypatch):
 
 
 def test_verify_catches_a_wrong_structural_coefficient(capsys, monkeypatch):
-    real = transfer.apply_t_structural
+    real = transfer._twice_t_structural  # the integer 2T that the structural check reads
 
     def perturbed(factors):
         comb = real(factors)
         if tuple(factors) == ((3, 1), (2, 2)):
-            comb[(4, 2), (1, 1)] += 1  # the true coefficient is 2
+            comb[(4, 2), (1, 1)] += 2  # the true doubled coefficient is 4
         return comb
 
-    monkeypatch.setattr(transfer, "apply_t_structural", perturbed)
+    monkeypatch.setattr(transfer, "_twice_t_structural", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--max-d", "6", "--json")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
@@ -198,6 +200,38 @@ def test_verify_catches_a_wrong_image_of_one_monomial(capsys, monkeypatch, cold_
     containing = [p for p in genfun.spanning_products(5, 3) if genfun.g_product_expand(p).coefficient(m)]
     assert containing and structural["status"] == "fail"
     assert structural["failures"] == [f"product {genfun.gproduct_str(p)}" for p in containing]
+
+
+def test_verify_keeps_a_fractional_monomial_image_exact(capsys, monkeypatch, cold_caches):
+    # T(m) + m/3 puts 2/3 into the doubled scaled image of m: no integer stands in for it
+    m = monomial({1: 1, 2: 2})  # x1*x2^2, on the component (5,3)
+    real = spectral.apply_t
+
+    def perturbed(f):
+        image = real(f)
+        return image + Polynomial({m: Fraction(1, 3)}) if f == Polynomial({m: 1}) else image
+
+    monkeypatch.setattr(spectral, "apply_t", perturbed)
+    code, out, err = run_cli(capsys, "verify", "--max-d", "6", "--json")
+    assert (code, err) == (1, "")
+    structural = {c["name"]: c for c in json.loads(out)["result"]["checks"]}["structural action agreement"]
+    containing = [p for p in genfun.spanning_products(5, 3) if genfun.g_product_expand(p).coefficient(m)]
+    assert containing and structural["status"] == "fail"
+    assert structural["failures"] == [f"product {genfun.gproduct_str(p)}" for p in containing]
+
+
+def test_verify_canonicalises_each_product_once(monkeypatch, cold_caches):
+    calls, real = [], genfun.canonical_product
+
+    def counted(factors):
+        calls.append(factors)
+        return real(factors)
+
+    monkeypatch.setattr(genfun, "canonical_product", counted)
+    monkeypatch.setattr(transfer, "canonical_product", counted)
+    assert all(c["status"] == "pass" for c in cli._verify_checks(8))
+    # 3356 when the structural check canonicalised each term of T again before reading the store
+    assert len(calls) == 1898
 
 
 def test_verify_applies_t_to_each_monomial_once(monkeypatch, cold_caches):
@@ -397,6 +431,13 @@ def test_csv_is_refused_before_the_command_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_verify_checks", sweep)
     code, out, err = run_cli(capsys, "verify", "--max-d", "14", "--csv")
     assert (code, out, err) == (2, "", "error: --csv is only available for spectrum and tmatrix\n")
+
+
+def test_verify_to_degree_14_matches_its_recorded_digest(capsys):
+    # the sweep past the benchmark's d = 12: sha256 of the JSON output, first 16 hex digits
+    code, out, _ = run_cli(capsys, "verify", "--max-d", "14", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "af1d6100c4f6b495"
 
 
 def test_output_is_deterministic(capsys):

@@ -18,7 +18,9 @@ from fockspectra import (
     spanning_products,
     x,
 )
+from fockspectra import genfun
 from fockspectra.genfun import canonical_product, expand_combination, gcombination_str, gproduct_str
+from fockspectra.poly import mono_norm_sq
 
 import oracles
 
@@ -53,10 +55,26 @@ def test_g_terms_are_bihomogeneous():
                 assert bidegree(m) == (d, ell)
 
 
-def test_each_generator_is_stored_once():
+def test_each_generator_is_stored_once(cold_caches):
     for d, ell in [(0, 0), (1, 1), (4, 2), (9, 3), (12, 12)]:
-        assert g_poly(d, ell) is g_product_expand([(d, ell)])
+        assert g_poly(d, ell) == g_product_expand([(d, ell)])
+        assert g_poly(d, ell) is not g_poly(d, ell)  # a fresh Fraction polynomial each time
     assert g_poly(2, 3).is_zero()
+    # one scaled entry per generator, (0,0) being the empty product
+    assert genfun._expand_canonical.cache_info().currsize == 5
+
+
+def test_scaled_store_matches_the_fraction_fold():
+    count = 0
+    for d in range(1, 11):
+        for ell in range(1, d + 1):
+            for p in spanning_products(d, ell):
+                scaled, reference = genfun._expand_canonical(p), oracles.expand_product_reference(p)
+                assert set(scaled) == set(reference.monomials()), p
+                assert all(type(v) is int for v in scaled.values()), p
+                assert all(v == reference.coefficient(m) * mono_norm_sq(m) for m, v in scaled.items()), p
+                count += 1
+    assert count == 1123
 
 
 def test_product_expansion_examples():

@@ -21,7 +21,7 @@ from fockspectra import (
     straighten_pair,
     x,
 )
-from fockspectra import genfun
+from fockspectra import genfun, transfer
 from fockspectra.errors import ConsistencyError
 from fockspectra.genfun import expand_combination
 from fockspectra.partitions import pair_sort_key
@@ -125,6 +125,17 @@ def test_structural_agrees_with_direct_action_exhaustively():
                     comb = apply_t_structural(order)
                     assert all(type(c) is Fraction for c in comb.values()), order
                     assert expand_combination(comb) == direct, order
+
+
+def test_structural_is_half_the_integer_core():
+    for d in range(1, 11):
+        for ell in range(1, d + 1):
+            for product in spanning_products(d, ell):
+                for order in (product, product[::-1]):
+                    twice = transfer._twice_t_structural(order)
+                    assert all(type(c) is int for c in twice.values()), order
+                    halved = {q: Fraction(c, 2) for q, c in twice.items()}
+                    assert apply_t_structural(order) == halved, order
 
 
 def test_straighten_examples():
