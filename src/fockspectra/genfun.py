@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb as binomial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import linalg
 from .errors import ConsistencyError, SingularMatrixError
@@ -62,10 +62,15 @@ def nonzero_factors(factors: Iterable[GIndex]) -> list[GIndex]:
     return kept
 
 
+def sorted_product(factors: Iterable[GIndex]) -> GProduct:
+    """Nonzero factors in canonical order: larger degree, then smaller length, first."""
+    return tuple(sorted(factors, key=pair_sort_key))
+
+
 def canonical_product(factors: Iterable[GIndex]) -> GProduct:
-    """Canonical form of a factor sequence: its nonzero_factors sorted with
-    larger degree (then smaller length) first."""
-    return tuple(sorted(nonzero_factors(factors), key=pair_sort_key))
+    """Canonical form of a factor sequence from outside: its nonzero_factors,
+    validated, in sorted_product order."""
+    return sorted_product(nonzero_factors(factors))
 
 
 @lru_cache(maxsize=None)  # read by every later expansion of the same product
@@ -119,26 +124,19 @@ def elementary_symmetric(k: int) -> Polynomial:
 
 def spanning_products(d: int, ell: int) -> tuple[GProduct, ...]:
     """Every canonical product of nonzero generators with total bidegree
-    (d, ell), admissible or not; sorted like the basis."""
-    out: list[GProduct] = []
+    (d, ell), admissible or not; emitted in basis order, by a walk that takes
+    the nonzero pairs in canonical order and never steps back in it."""
+    pairs = [(d1, l1) for d1 in range(d, 0, -1) for l1 in range(1, min(d1, ell) + 1)]
 
-    def extend(prefix: list[GIndex], rem_d: int, rem_l: int, cap: tuple[int, int]) -> None:
-        if rem_d == 0 and rem_l == 0:
-            out.append(tuple(prefix))
-            return
-        if rem_d <= 0 or rem_l <= 0:
-            return
-        for d1 in range(rem_d, 0, -1):
-            for l1 in range(1, min(d1, rem_l) + 1):
-                if pair_sort_key((d1, l1)) < cap:
-                    continue  # keep factors weakly decreasing
-                prefix.append((d1, l1))
-                extend(prefix, rem_d - d1, rem_l - l1, pair_sort_key((d1, l1)))
-                prefix.pop()
+    def extend(start: int, rem_d: int, rem_l: int) -> Iterator[GProduct]:
+        if rem_d == rem_l == 0:
+            yield ()
+        for k in range(start, len(pairs)):
+            d1, l1 = pairs[k]
+            if d1 <= rem_d and l1 <= rem_l:
+                yield from (((d1, l1),) + rest for rest in extend(k, rem_d - d1, rem_l - l1))
 
-    extend([], d, ell, (-d, 0))
-    out.sort(key=product_sort_key)
-    return tuple(out)
+    return tuple(extend(0, d, ell))
 
 
 def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,13 +2,14 @@
 
     T = 1/2 * sum over a+b = p+q (all >= 1) of  x_a x_b d/dx_p d/dx_q
 
-in two realizations: directly on polynomials, and through its closed-form
-action on products of the generators g(d, l), which builds only the terms
-whose generators are nonzero.  Each realization sums its terms through
+in two realizations: directly on polynomials, and through its closed-form action
+on products of the generators g(d, l), which validates only its input and builds
+only the terms whose generators are nonzero, each sorted straight into canonical
+order (genfun.sorted_product).  Each realization sums its terms through
 poly.collect, the closed form in integers, as 2T.  Also the straightening of
-irregular two-factor products into regular ones, of any product into the
-basis of admissible products, and the alternating product identity used to
-cross-check that straightening exists, both on genfun's scaled expansions.
+irregular two-factor products into regular ones, of any product into the basis
+of admissible products, and the alternating product identity used to cross-check
+that straightening exists, both on genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
@@ -21,7 +22,7 @@ from typing import Iterable
 
 from . import genfun, linalg
 from .errors import ConsistencyError
-from .genfun import GCombination, GIndex, GProduct, canonical_product, g_value_is_zero, nonzero_factors
+from .genfun import GCombination, GIndex, GProduct, g_value_is_zero, nonzero_factors, sorted_product
 from .partitions import is_regular_pair
 from .poly import Polynomial, collect
 
@@ -75,24 +76,25 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     leave both nonzero (g(d, l) = 0 unless d >= l >= 1 or d = l = 0) build a
     term: 0 <= p < d_j - l_j when l_i >= 2 in the first sum; in the second,
     1 <= p <= d_j - l_j + 1 when l_j >= 2, and p = d_j alone when l_j = 1,
-    whose factor g(0,0) = 1 is dropped.  _twice_t_structural sums them as 2T.
+    which merges the pair into one factor (d_i + d_j, l_i + 1).  _twice_t_structural sums them as 2T.
     """
     return {q: Fraction(c, 2) for q, c in _twice_t_structural(factors).items()}
 
 
 def _twice_t_structural(factors: Iterable[GIndex]) -> dict[GProduct, int]:
-    """2T of a product as {canonical product: int}; each term is canonicalised once."""
+    """2T of a product as {canonical product: int}; only the input is validated, each term sorted once."""
     work = nonzero_factors(factors)
-    terms = [(canonical_product(work), sum((ell - 1) * (2 * d - ell) for d, ell in work))]
+    terms = [(sorted_product(work), sum((ell - 1) * (2 * d - ell) for d, ell in work))]
     for i, (di, li) in enumerate(work):
         for j in range(i + 1, len(work)):
             dj, lj = work[j]
             others = work[:i] + work[i + 1 : j] + work[j + 1 :]
             down, up = -2 * lj * (lj + 1), 2 * li * (li + 1)
             for p in range(dj - lj if li > 1 else 0):
-                terms.append((canonical_product(others + [(di + p, li - 1), (dj - p, lj + 1)]), down))
-            for p in range(1 if lj > 1 else dj, dj - lj + 2):
-                terms.append((canonical_product(others + [(di + p, li + 1), (dj - p, lj - 1)]), up))
+                terms.append((sorted_product(others + [(di + p, li - 1), (dj - p, lj + 1)]), down))
+            for p in range(1 if lj > 1 else dj, dj - lj + 2):  # p = dj only when lj = 1
+                pair = [(di + p, li + 1), (dj - p, lj - 1)] if p < dj else [(di + dj, li + 1)]
+                terms.append((sorted_product(others + pair), up))
     return collect(terms)
 
 
@@ -146,7 +148,7 @@ def straighten_product(product: GProduct, memo: dict[GProduct, GCombination]) ->
         out = collect(
             (q, c * cq)
             for pair, c in straighten_product(product[i : i + 2], memo).items()
-            for q, cq in straighten_product(canonical_product(head + pair + tail), memo).items()
+            for q, cq in straighten_product(sorted_product(head + pair + tail), memo).items()
         )
     memo[product] = out
     return out

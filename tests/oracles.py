@@ -120,6 +120,27 @@ def expand_product_reference(product) -> Polynomial:
     return out
 
 
+def spanning_products_reference(d: int, ell: int) -> list:
+    """Every product of nonzero generators g(d1, l1), d1 >= l1 >= 1, with
+    total bidegree (d, ell): built one factor at a time, bidegree by
+    bidegree, as a set of factor tuples sorted larger degree first (then
+    smaller length), and sorted once at the end in that order."""
+
+    def key(pair):
+        return (-pair[0], pair[1])
+
+    found = {}
+    for a in range(d + 1):
+        for b in range(ell + 1):
+            found[a, b] = {()} if a == b == 0 else {
+                tuple(sorted(rest + ((d1, l1),), key=key))
+                for d1 in range(1, a + 1)
+                for l1 in range(1, min(d1, b) + 1)
+                for rest in found[a - d1, b - l1]
+            }
+    return sorted(found[d, ell], key=lambda p: [key(pair) for pair in p])
+
+
 # --- reference form of the operator -----------------------------------------
 
 

@@ -221,17 +221,26 @@ def test_verify_keeps_a_fractional_monomial_image_exact(capsys, monkeypatch, col
 
 
 def test_verify_canonicalises_each_product_once(monkeypatch, cold_caches):
-    calls, real = [], genfun.canonical_product
+    calls = {"sorted_product": 0, "nonzero_factors": 0}
 
-    def counted(factors):
-        calls.append(factors)
-        return real(factors)
+    def counted(name):
+        real = getattr(genfun, name)
 
-    monkeypatch.setattr(genfun, "canonical_product", counted)
-    monkeypatch.setattr(transfer, "canonical_product", counted)
+        def count(factors):
+            calls[name] += 1
+            return real(factors)
+
+        return count
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(genfun, name, wrapper)
+        monkeypatch.setattr(transfer, name, wrapper)
     assert all(c["status"] == "pass" for c in cli._verify_checks(8))
-    # 3356 when the structural check canonicalised each term of T again before reading the store
-    assert len(calls) == 1898
+    # one sort per key (3356 when the structural check canonicalised each term of T again
+    # before reading the store); factors are validated only where a product comes from
+    # outside (2305 when each term of T was validated again)
+    assert calls == {"sorted_product": 1898, "nonzero_factors": 525}
 
 
 def test_verify_applies_t_to_each_monomial_once(monkeypatch, cold_caches):

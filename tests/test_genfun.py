@@ -183,6 +183,13 @@ def test_spanning_products_small():
     assert spanning_products(2, 3) == ()
 
 
+def test_spanning_products_match_the_brute_force_enumeration():
+    for d in range(13):
+        for ell in range(d + 1):
+            # the reference is a sorted set: equal lists mean basis order and no duplicates
+            assert list(spanning_products(d, ell)) == oracles.spanning_products_reference(d, ell), (d, ell)
+
+
 def test_rendering():
     assert gproduct_str(((3, 1), (1, 1))) == "g(3,1)g(1,1)"
     assert gproduct_str(()) == "1"

@@ -23,7 +23,7 @@ from fockspectra import (
 )
 from fockspectra import genfun, transfer
 from fockspectra.errors import ConsistencyError
-from fockspectra.genfun import expand_combination
+from fockspectra.genfun import canonical_product, expand_combination
 from fockspectra.partitions import pair_sort_key
 from fockspectra.transfer import straighten_product
 
@@ -134,6 +134,8 @@ def test_structural_is_half_the_integer_core():
                 for order in (product, product[::-1]):
                     twice = transfer._twice_t_structural(order)
                     assert all(type(c) is int for c in twice.values()), order
+                    # a key holding a vanishing factor would expand to nothing and vanish unseen
+                    assert all(q == canonical_product(q) for q in twice), order
                     halved = {q: Fraction(c, 2) for q, c in twice.items()}
                     assert apply_t_structural(order) == halved, order
 
