@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb as binomial
+from math import comb as binomial, lcm
 from typing import Iterable, Iterator
 
 from . import linalg
@@ -102,10 +102,11 @@ def g_product_expand(factors: Iterable[GIndex]) -> Polynomial:
 
 
 def expand_combination(comb: GCombination) -> Polynomial:
-    """The sum of c * P over comb, summed in scaled coordinates and then divided by mono_norm_sq."""
-    terms = ((c, _expand_canonical(canonical_product(p))) for p, c in comb.items())
+    """The sum of c * P over comb: (c * D) * P summed in scaled ints, D the lcm of the c's denominators."""
+    den = lcm(*(c.denominator for c in comb.values()))
+    terms = ((int(c * den), _expand_canonical(canonical_product(p))) for p, c in comb.items())
     scaled = collect((m, c * f) for c, expanded in terms for m, f in expanded.items())
-    return Polynomial._of({m: Fraction(c, mono_norm_sq(m)) for m, c in scaled.items()})
+    return Polynomial._of({m: Fraction(c, den * mono_norm_sq(m)) for m, c in scaled.items()})
 
 
 def complete_symmetric(k: int) -> Polynomial:

@@ -1,19 +1,20 @@
-"""Exact linear algebra over Fraction: one sparse LU, a characteristic
-polynomial, and dense elimination for the tests.
+"""Exact linear algebra: one sparse LU, a characteristic polynomial, and
+dense elimination for the tests; nothing here touches floating point.
 
-Everything here works on Fractions and never touches floating point.
 lu_factor/lu_solve take sparse columns and right-hand sides as (row label,
 value) pairs, for k <= n independent columns solved many times; lu_solve
-certifies each solution on every row.  char_poly reduces to Hessenberg form
-and applies Cohen's recurrence (Alg. 2.2.9), O(n^3) in all.  The package
-itself calls only lu_factor/lu_solve, char_poly and poly_from_roots; the
-dense routines (rref, rank, invert, null_space) serve the tests as
+certifies each solution on every row.  char_poly clears denominators and works
+modulo a Mersenne prime above twice Hadamard's bound on the coefficients:
+Hessenberg form, then Cohen's recurrence (Alg. 2.2.9), O(n^3) in all.  The
+package itself calls only lu_factor/lu_solve, char_poly and poly_from_roots;
+the dense routines (rref, rank, invert, null_space) serve the tests as
 references, and rref's pivot choice affects only the amount of arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm, prod
 from typing import Hashable, Iterable, Sequence
 
 from .errors import SingularMatrixError
@@ -21,9 +22,8 @@ from .errors import SingularMatrixError
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
-
-def _as_rows(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
+_MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+                       3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497)
 
 
 def identity(n: int) -> Matrix:
@@ -49,7 +49,7 @@ def _pivot_size(q: Fraction) -> int:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (as a copy) and the pivot column indices."""
-    m = _as_rows(rows)
+    m = [[Fraction(v) for v in row] for row in rows]
     if not m:
         return m, []
     nrows, ncols = len(m), len(m[0])
@@ -86,7 +86,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix:
     """Exact inverse of a square matrix; raises SingularMatrixError."""
     n = len(rows)
-    aug = [list(row) + ident_row for row, ident_row in zip(_as_rows(rows), identity(n))]
+    aug = [list(row) + ident_row for row, ident_row in zip(rows, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrixError(f"matrix of size {n} is singular")
@@ -194,15 +194,24 @@ def null_space(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
 
 
 def char_poly(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A) in O(n^3) Fraction operations.
+    """Characteristic polynomial det(xI - A) as monic coefficients [1, c1, ..., cn]
+    for x^n + c1 x^(n-1) + ... + cn, in O(n^3) operations modulo one prime.
 
-    Similarity transforms bring A to upper Hessenberg form H; then
-    p_m = det(xI - H_m) of the leading m x m blocks follow by the recurrence
-    of Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9.
-    Returns monic coefficients [1, c1, ..., cn] for x^n + c1 x^(n-1) + ... + cn.
+    With L the lcm of A's denominators, L^k c_k sums k x k principal minors of
+    LA, so by Hadamard it is at most B = prod_i (1 + ceil(|row_i|_2)) in size, and
+    it is read off as a residue in (-P/2, P/2), P the least Mersenne prime
+    2^e - 1 > 2B with e in _MERSENNE_EXPONENTS (ValueError if none).  Modulo P,
+    LA is brought to Hessenberg form, then Cohen's recurrence gives the
+    polynomial (A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
-    h = _as_rows(rows)
+    scale = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    h = [[int(v * scale) for v in row] for row in rows]
     n = len(h)
+    # 1 + ceil(sqrt(s)) = isqrt(s - 1) + 2 for row norm^2 s > 0; an |entry| < q/2 is 0 mod q only if 0
+    bound = prod(isqrt(s - 1) + 2 if s else 1 for s in (sum(v * v for v in row) for row in h))
+    q = next((2**e - 1 for e in _MERSENNE_EXPONENTS if 2**e - 1 > 2 * bound), None)
+    if q is None:
+        raise ValueError(f"no Mersenne prime in the table exceeds twice the coefficient bound {bound}")
     for m in range(1, n - 1):
         # pivot on the first nonzero at or below h[m][m - 1], if there is one
         i = next((i for i in range(m, n) if h[i][m - 1]), m)
@@ -210,28 +219,29 @@ def char_poly(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
         for row in h:
             row[i], row[m] = row[m], row[i]
         pivot_row = h[m]
+        inverse = pow(pivot_row[m - 1] or 1, -1, q)  # a zero pivot leaves no row below to clear
         for i in range(m + 1, n):
             if h[i][m - 1]:
                 # row i -= u row m, then column m += u column i
                 row = h[i]
-                u = row[m - 1] / pivot_row[m - 1]
+                u = row[m - 1] * inverse % q
                 for j in range(m - 1, n):
                     if pivot_row[j]:
-                        row[j] -= u * pivot_row[j]
+                        row[j] = (row[j] - u * pivot_row[j]) % q
                 for r in h:
                     if r[i]:
-                        r[m] += u * r[i]
-    polys = [[Fraction(1)]]  # p_0, p_1, ... in ascending powers of x
+                        r[m] = (r[m] + u * r[i]) % q
+    polys = [[1]]  # p_0, p_1, ... in ascending powers of x
     for m in range(n):
-        p, t = [Fraction(0)] + polys[m], Fraction(1)
+        p, t = [0] + polys[m], 1
         for j in range(m, -1, -1):  # t = h_(m,m-1) h_(m-1,m-2) ... h_(j+1,j)
-            f = t * h[j][m]
+            f = t * h[j][m] % q
             if f:
                 for k, c in enumerate(polys[j]):
-                    p[k] -= f * c
-            t *= h[j][j - 1]
+                    p[k] = (p[k] - f * c) % q
+            t = t * h[j][j - 1] % q
         polys.append(p)
-    return polys[n][::-1]
+    return [Fraction(c - q if 2 * c > q else c, scale**k) for k, c in enumerate(polys[n][::-1])]
 
 
 def poly_from_roots(roots: Sequence[Fraction]) -> list[Fraction]:

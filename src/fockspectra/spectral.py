@@ -17,7 +17,9 @@ index sequences by
 and certified against that diagonal position by position, and independently
 against the characteristic polynomial of the monomial-basis matrix.  The
 eigenvectors are read off the certified triangular matrix by
-back-substitution, one per basis position.
+back-substitution, one per basis position.  After Gram-Schmidt inside each
+eigenspace, every pair (w, v) across eigenspaces is checked orthogonal in ints:
+with A = D w and B = D' v cleared of denominators, sum_m A_m B_m mono_norm_sq(m) = 0.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional, Union
 
 from . import linalg
@@ -227,7 +232,7 @@ def eigenbasis(d: int, ell: int) -> tuple[Eigenfunction, ...]:
 
 def orthogonal_eigenbasis(d: int, ell: int) -> tuple[OrthogonalEigenfunction, ...]:
     """Gram-Schmidt inside each eigenspace (no normalization; squared norms
-    are reported exactly).  Distinct eigenspaces are verified orthogonal."""
+    are reported exactly).  Every pair across eigenspaces is verified orthogonal."""
     _require_component(d, ell)
     groups: dict[int, list[Polynomial]] = {}
     for fn in eigenbasis(d, ell):
@@ -246,14 +251,18 @@ def orthogonal_eigenbasis(d: int, ell: int) -> tuple[OrthogonalEigenfunction, ..
                 )
             done.append((w, norm_sq))
             out.append(OrthogonalEigenfunction(lam, w, norm_sq))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if out[i].eigenvalue != out[j].eigenvalue:
-                if inner_product(out[i].polynomial, out[j].polynomial):
-                    raise ConsistencyError(
-                        f"eigenfunctions for {out[i].eigenvalue} and "
-                        f"{out[j].eigenvalue} are not orthogonal on ({d},{ell})"
-                    )
+    # each w once as the ints A = D * w on the component's monomials, D the lcm of its denominators
+    monos = monomial_basis(d, ell)
+    weights = [mono_norm_sq(m) for m in monos]
+    forms = []
+    for fn in out:
+        coeffs = [fn.polynomial.coefficient(m) for m in monos]
+        den = lcm(*(c.denominator for c in coeffs))
+        a = [c.numerator * (den // c.denominator) for c in coeffs]
+        forms.append((fn.eigenvalue, a, list(map(mul, a, weights))))
+    for (lam, _, weighted), (mu, b, _) in combinations(forms, 2):
+        if lam != mu and sum(map(mul, weighted, b)):
+            raise ConsistencyError(f"eigenfunctions for {lam} and {mu} are not orthogonal on ({d},{ell})")
     return tuple(out)
 
 

@@ -77,6 +77,32 @@ def test_scaled_store_matches_the_fraction_fold():
     assert count == 1123
 
 
+big_fractions = st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_expand_combination_matches_the_fraction_fold(data):
+    d = data.draw(st.integers(1, 8))
+    ell = data.draw(st.integers(1, d))
+    products = spanning_products(d, ell)
+    comb = data.draw(st.dictionaries(st.sampled_from(products), big_fractions, max_size=6))
+    # the same products in reversed factor order with opposite signs cancel them outright
+    cancelled = data.draw(st.sets(st.sampled_from(sorted(comb)))) if comb else set()
+    comb |= {p[::-1]: -comb[p] for p in cancelled if p[::-1] != p}
+    # a product against its coordinates in the basis sums to zero
+    q, c = data.draw(st.sampled_from(products)), data.draw(big_fractions)
+    coords = expand_in_gbasis(oracles.expand_product_reference(q), d, ell)
+    relation = {p: -c * v for p, v in zip(s_basis(d, ell), coords) if v}
+    relation[q] = relation.get(q, 0) + c
+    for combination in (comb, relation, comb | {p[::-1]: v for p, v in relation.items()}):
+        expected = Polynomial.combine((oracles.expand_product_reference(p), v) for p, v in combination.items())
+        got = expand_combination(combination)
+        assert got == expected
+        assert all(type(v) is Fraction and v for _, v in got.terms())
+    assert expand_combination(relation).is_zero()
+
+
 def test_product_expansion_examples():
     assert g_product_expand([(3, 1), (1, 1)]) == x(1) * x(3)
     assert g_product_expand([(2, 2), (3, 1)]) == x(1) ** 2 * x(3) / 2

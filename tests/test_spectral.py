@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockspectra import (
@@ -320,6 +320,32 @@ def test_orthogonal_eigenbasis_matches_successive_projections(component):
     assert fns == oracles.gram_schmidt_reference(*component)
 
 
+def test_orthogonality_check_catches_a_vector_from_another_eigenspace(monkeypatch):
+    fns = eigenbasis(8, 3)
+    j = max(k for k, fn in enumerate(fns) if fn.eigenvalue != fns[0].eigenvalue)
+    tainted = fns[0]._replace(polynomial=fns[0].polynomial + fns[j].polynomial * Fraction(2, 7))
+    monkeypatch.setattr(spectral, "eigenbasis", lambda d, ell: (tainted,) + fns[1:])
+    with pytest.raises(ConsistencyError, match="not orthogonal"):
+        orthogonal_eigenbasis(8, 3)
+
+
+def test_orthogonality_check_weighs_each_monomial_by_its_squared_norm(monkeypatch):
+    # x1*x3 has squared norm 1 and x2^2 has 2, the only monomials of (4, 2)
+    f = x(1) * x(3) / 3 + x(2) ** 2 / 5
+    plain_orthogonal = x(1) * x(3) / 5 - x(2) ** 2 / 3  # coefficient dot product 0, <f, .> = -1/15
+    weighted_orthogonal = x(1) * x(3) * Fraction(2, 7) - x(2) ** 2 * Fraction(5, 21)
+    assert inner_product(f, plain_orthogonal) == Fraction(-1, 15)
+    assert inner_product(f, weighted_orthogonal) == 0
+    for g, orthogonal in ((weighted_orthogonal, True), (plain_orthogonal, False)):
+        fake = (spectral.Eigenfunction(0, (), f), spectral.Eigenfunction(1, (), g))
+        monkeypatch.setattr(spectral, "eigenbasis", lambda d, ell: fake)
+        if orthogonal:
+            assert [fn.polynomial for fn in orthogonal_eigenbasis(4, 2)] == [f, g]
+        else:
+            with pytest.raises(ConsistencyError, match="not orthogonal"):
+                orthogonal_eigenbasis(4, 2)
+
+
 def test_self_adjoint_hand_example():
     # monomial matrix [[2,2],[1,1]] and Gram diag(1,2) on the (4,2) component
     m = t_matrix(4, 2, basis="monomial").entries
@@ -387,6 +413,35 @@ def test_char_poly_matches_faddeev_on_sparse_matrices(rows):
     # about half the entries are 0, so the Hessenberg reduction meets columns
     # with nothing to eliminate and pivots that need a row/column swap
     assert linalg.char_poly(rows) == oracles.char_poly_faddeev(rows)
+
+
+def _square_matrices(entries, max_n=5):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square_matrices(st.integers(-(2**70), 2**70).map(Fraction)))
+@example([[Fraction(2**70), Fraction(3)], [Fraction(-5), Fraction(2**70 - 1)]])
+def test_char_poly_matches_faddeev_on_integer_matrices_past_61_bits(rows):
+    # the trace alone can pass 2^61, so a fixed 61-bit modulus would lift wrong residues
+    assert linalg.char_poly(rows) == oracles.char_poly_faddeev(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square_matrices(st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**40)), max_n=4))
+@example([[Fraction(1, 2**40 - 87), Fraction(2**40, 3)], [Fraction(-7, 2**39 + 1), Fraction(5, 2**40 - 1)]])
+def test_char_poly_matches_faddeev_on_matrices_with_large_denominators(rows):
+    # with L the lcm of the denominators, L^k c_k is far past 2^61
+    assert linalg.char_poly(rows) == oracles.char_poly_faddeev(rows)
+
+
+def test_char_poly_refuses_a_bound_past_its_largest_prime(monkeypatch):
+    monkeypatch.setattr(linalg, "_MERSENNE_EXPONENTS", (61,))
+    assert linalg.char_poly([[Fraction(2**58)]]) == [1, -(2**58)]
+    with pytest.raises(ValueError, match="Mersenne prime"):
+        linalg.char_poly([[Fraction(2**60)]])
 
 
 def test_char_poly_matches_faddeev_on_every_monomial_matrix():
