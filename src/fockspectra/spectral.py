@@ -17,9 +17,9 @@ index sequences by
 and certified against that diagonal position by position, and independently
 against the characteristic polynomial of the monomial-basis matrix.  The
 eigenvectors are read off the certified triangular matrix by
-back-substitution, one per basis position.  After Gram-Schmidt inside each
-eigenspace, every pair (w, v) across eigenspaces is checked orthogonal in ints:
-with A = D w and B = D' v cleared of denominators, sum_m A_m B_m mono_norm_sq(m) = 0.
+back-substitution, one per basis position.  Gram-Schmidt inside each eigenspace
+works on one integer form A = D w per eigenfunction w, cleared of denominators,
+and every pair of results is checked orthogonal on those forms: sum_m A_m B_m mono_norm_sq(m) = 0.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Optional, Union
 
@@ -36,7 +36,7 @@ from . import linalg
 from .errors import ConsistencyError
 from .genfun import GCombination, GProduct, expand_combination
 from .partitions import admissible_sequences
-from .poly import Monomial, Polynomial, collect, inner_product, mono_norm_sq, monomial_basis
+from .poly import Monomial, Polynomial, collect, mono_norm_sq, monomial_basis
 from .transfer import apply_t, apply_t_structural, straighten_product
 
 BasisLabel = Union[Monomial, GProduct]
@@ -231,37 +231,34 @@ def eigenbasis(d: int, ell: int) -> tuple[Eigenfunction, ...]:
 
 
 def orthogonal_eigenbasis(d: int, ell: int) -> tuple[OrthogonalEigenfunction, ...]:
-    """Gram-Schmidt inside each eigenspace (no normalization; squared norms
-    are reported exactly).  Every pair across eigenspaces is verified orthogonal."""
+    """Gram-Schmidt inside each eigenspace (no normalization; squared norms are
+    exact) on one integer form per eigenfunction w: A = s w on the component's
+    monomials, s the least common denominator of w.  Every pair of results is then
+    checked orthogonal on the same forms: sum_m A_m B_m mono_norm_sq(m) = 0."""
     _require_component(d, ell)
-    groups: dict[int, list[Polynomial]] = {}
-    for fn in eigenbasis(d, ell):
-        groups.setdefault(fn.eigenvalue, []).append(fn.polynomial)
-    out: list[OrthogonalEigenfunction] = []
-    for lam in sorted(groups):
-        done: list[tuple[Polynomial, Fraction]] = []
-        for vec in groups[lam]:
-            # the vectors in done are mutually orthogonal, so projecting vec itself
-            # gives what successive projections give
-            w = Polynomial.combine([(vec, 1)] + [(u, -inner_product(vec, u) / n_sq) for u, n_sq in done])
-            norm_sq = inner_product(w, w)
-            if norm_sq <= 0:
-                raise ConsistencyError(
-                    f"Gram-Schmidt produced squared norm {norm_sq} on ({d},{ell})"
-                )
-            done.append((w, norm_sq))
-            out.append(OrthogonalEigenfunction(lam, w, norm_sq))
-    # each w once as the ints A = D * w on the component's monomials, D the lcm of its denominators
     monos = monomial_basis(d, ell)
     weights = [mono_norm_sq(m) for m in monos]
-    forms = []
-    for fn in out:
+    forms, out = [], []  # forms: (eigenvalue, A, A weighted by mono_norm_sq, <A, A>)
+    for fn in eigenbasis(d, ell):
         coeffs = [fn.polynomial.coefficient(m) for m in monos]
-        den = lcm(*(c.denominator for c in coeffs))
-        a = [c.numerator * (den // c.denominator) for c in coeffs]
-        forms.append((fn.eigenvalue, a, list(map(mul, a, weights))))
-    for (lam, _, weighted), (mu, b, _) in combinations(forms, 2):
-        if lam != mu and sum(map(mul, weighted, b)):
+        s = lcm(*(c.denominator for c in coeffs))
+        a = [c.numerator * (s // c.denominator) for c in coeffs]
+        for _, b, b_weighted, b_sq in (f for f in forms if f[0] == fn.eigenvalue):
+            # A/s less its projection on B is (<B,B> A - <A,B> B) / (<B,B> s)
+            a_b = sum(map(mul, a, b_weighted))
+            a = [b_sq * p - a_b * q for p, q in zip(a, b)]
+            s *= b_sq
+            g = gcd(s, *a)
+            s, a = s // g, [p // g for p in a]
+        a_weighted = list(map(mul, a, weights))
+        a_sq = sum(map(mul, a, a_weighted))
+        if not a_sq:
+            raise ConsistencyError(f"Gram-Schmidt produced squared norm 0 on ({d},{ell})")
+        forms.append((fn.eigenvalue, a, a_weighted, a_sq))
+        poly = Polynomial._of({m: Fraction(p, s) for m, p in zip(monos, a) if p})
+        out.append(OrthogonalEigenfunction(fn.eigenvalue, poly, Fraction(a_sq, s * s)))
+    for (lam, _, weighted, _), (mu, b, _, _) in combinations(forms, 2):
+        if sum(map(mul, weighted, b)):
             raise ConsistencyError(f"eigenfunctions for {lam} and {mu} are not orthogonal on ({d},{ell})")
     return tuple(out)
 

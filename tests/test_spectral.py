@@ -25,7 +25,7 @@ from fockspectra import (
     verify_triangular,
     x,
 )
-from fockspectra import cli, genfun, linalg, spectral, transfer
+from fockspectra import cli, genfun, linalg, poly, spectral, transfer
 from fockspectra.errors import ConsistencyError
 from fockspectra.genfun import expand_combination
 
@@ -312,7 +312,8 @@ def test_orthogonal_eigenbasis_sweep():
 @pytest.mark.parametrize(
     "component",
     [(d, ell) for d in range(1, 11) for ell in range(1, d + 1)]
-    + [(12, 4), (13, 5), (14, 6), (16, 8), (14, 5)],  # the benchmark's eigen_cold components
+    + [(12, 4), (13, 5), (14, 6), (16, 8), (14, 5)]  # the benchmark's eigen_cold components
+    + [(18, 6)],  # dimension 58 with a 7-dimensional eigenspace: a long projection chain
     ids=str,
 )
 def test_orthogonal_eigenbasis_matches_successive_projections(component):
@@ -327,6 +328,22 @@ def test_orthogonality_check_catches_a_vector_from_another_eigenspace(monkeypatc
     monkeypatch.setattr(spectral, "eigenbasis", lambda d, ell: (tainted,) + fns[1:])
     with pytest.raises(ConsistencyError, match="not orthogonal"):
         orthogonal_eigenbasis(8, 3)
+
+
+def test_gram_schmidt_rejects_a_dependent_eigenfunction(monkeypatch):
+    fns = eigenbasis(8, 3)
+    monkeypatch.setattr(spectral, "eigenbasis", lambda d, ell: (fns[0], fns[0]) + fns[1:])
+    with pytest.raises(ConsistencyError, match=r"squared norm 0 on \(8,3\)"):
+        orthogonal_eigenbasis(8, 3)
+
+
+def test_orthogonal_eigenbasis_projects_in_ints(monkeypatch, cold_caches):
+    def fractions(*args):
+        raise AssertionError("Fraction polynomial arithmetic in Gram-Schmidt")
+
+    monkeypatch.setattr(poly, "inner_product", fractions)
+    monkeypatch.setattr(poly.Polynomial, "combine", classmethod(fractions))
+    assert len(orthogonal_eigenbasis(12, 4)) == 15
 
 
 def test_orthogonality_check_weighs_each_monomial_by_its_squared_norm(monkeypatch):
