@@ -13,12 +13,15 @@ the canonical factor sequence, in scaled integer coordinates
 F_m = c_m * mono_norm_sq(m); a generator is its one-factor product, and g_poly
 returns a fresh Fraction polynomial, not the stored object.  Column j of the
 expansion matrix E holds the monomial coefficients of the j-th basis product.
-_expansion_lu keeps, per component and bound on the factor count, the sparse
-LU (linalg.lu_factor) of the columns of E whose products have at most that
-many factors, built from their scaled terms (row m scaled by mono_norm_sq(m)).
-expand_in_gbasis solves on all of E; inside the package only
-transfer.straighten_pair solves, on the products with at most two factors.
-expansion_matrix gives E densely, for the tests.
+_expansion_lu keeps, per component, bound on the factor count and modulus,
+the sparse LU (linalg.lu_factor) of the columns of E whose products have at
+most that many factors, built from their scaled terms (row m scaled by
+mono_norm_sq(m)), and each column's height, its largest |F_m|.  _solve, which
+transfer.straighten_pair uses on the products with at most two factors,
+solves modulo linalg.LU_PRIME and keeps the answer, in ints, when the heights
+bound every residual below the prime; otherwise it solves over Q.
+expand_in_gbasis, whose coordinates can be true fractions, solves on all of E
+over Q.  expansion_matrix gives E densely, for the tests.
 """
 
 from __future__ import annotations
@@ -149,18 +152,55 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)  # read by every later solve on the component
-def _expansion_lu(d: int, ell: int, max_factors: int) -> tuple[tuple[GProduct, ...], linalg.LUFactors]:
-    """The basis products of (d, ell) with at most max_factors factors, and
-    the sparse LU of their columns of E."""
+def _expansion_lu(
+    d: int, ell: int, max_factors: int, modulus: int = 0
+) -> tuple[tuple[GProduct, ...], linalg.LUFactors, tuple[int, ...]]:
+    """The basis products of (d, ell) with at most max_factors factors, the
+    sparse LU of their scaled columns of E (over Q, or modulo a prime
+    modulus), and each column's height max_m |F_m|.  Only the heights stay
+    of the columns themselves."""
     products = tuple(p for p in admissible_sequences(d, ell) if len(p) <= max_factors)
+    heights = []
+
+    def columns():
+        for p in products:
+            column = _expand_canonical.__wrapped__(p)  # uncached: these scaled expansions only feed lu_factor
+            heights.append(max(map(abs, column.values())))
+            yield column.items()
+
     try:
-        # uncached: these scaled expansions only feed lu_factor
-        return products, linalg.lu_factor(_expand_canonical.__wrapped__(p).items() for p in products)
+        factors = linalg.lu_factor(columns(), modulus)
     except SingularMatrixError as e:
         raise ConsistencyError(
             f"expansion matrix for component ({d},{ell}) is singular; "
             "the product family failed to be a basis"
         ) from e
+    return products, factors, tuple(heights)
+
+
+def _solve(d: int, ell: int, max_factors: int, b: dict) -> tuple[tuple[GProduct, ...], list]:
+    """The basis products of (d, ell) with at most max_factors factors and
+    the coordinates x on them of b, a vector in scaled coordinates
+    {monomial: int}; ValueError when b is not in their span.
+
+    x is solved modulo q = linalg.LU_PRIME, each coordinate lifted into
+    (-q/2, q/2), and kept when sum_j |x_j| h_j + max_m |b_m| < q for the
+    column heights h_j: every residual (E x - b)_m is then an int below q
+    that q divides, so 0, and the LU proves the columns independent, so x is
+    the answer, in ints.  Otherwise, or when the columns are singular
+    modulo q, it is solved over Q.
+    """
+    q = linalg.LU_PRIME
+    try:
+        products, factors, heights = _expansion_lu(d, ell, max_factors, q)
+        x = linalg.lu_solve(factors, b.items(), q)
+    except (ConsistencyError, ValueError):
+        pass
+    else:
+        if sum(abs(c) * h for c, h in zip(x, heights)) + max(map(abs, b.values()), default=0) < q:
+            return products, x
+    products, factors, _ = _expansion_lu(d, ell, max_factors)
+    return products, linalg.lu_solve(factors, b.items())
 
 
 def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
@@ -168,7 +208,8 @@ def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
 
     f must be bihomogeneous of bidegree (d, ell); the zero polynomial is
     accepted and yields the zero vector.  No basis product has more than ell
-    factors, so this solves on the whole of E.
+    factors, so this solves on the whole of E, over Q: its coordinates can
+    be true fractions.
     """
     for m in f.monomials():
         if bidegree(m) != (d, ell):

@@ -6,10 +6,11 @@ length", extended lexicographically), so the action of T sends each basis
 element to itself plus strictly earlier elements and its matrix comes out
 upper triangular; the diagonal carries the spectrum.  That matrix is built
 without expanding products into monomials: each column is the closed-form
-action of T on a basis product, with every inadmissible product in it
-straightened into the basis (transfer.straighten_product).  Its only linear
-solves are inside straighten_pair, each on the products with at most two
-factors of an irregular pair's component.  Eigenvalues are computed from the
+action of T on a basis product, as 2T in ints, with every inadmissible product
+in it straightened into the basis (transfer.straighten_product) in ints, and
+halved once into Fractions.  Its only linear solves are the pair
+straightenings, each modulo a prime on the products with at most two factors
+of an irregular pair's component.  Eigenvalues are computed from the
 index sequences by
 
     lambda = 1/2 * sum_i (l_i - 1)(2 d_i - l_i)
@@ -24,7 +25,6 @@ and every pair of results is checked orthogonal on those forms: sum_m A_m B_m mo
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -34,16 +34,15 @@ from typing import NamedTuple, Optional, Union
 
 from . import linalg
 from .errors import ConsistencyError
-from .genfun import GCombination, GProduct, expand_combination
+from .genfun import GProduct, expand_combination
 from .partitions import admissible_sequences
 from .poly import Monomial, Polynomial, collect, mono_norm_sq, monomial_basis
-from .transfer import apply_t, apply_t_structural, straighten_product
+from .transfer import _twice_t_structural, apply_t, straighten_product
 
 BasisLabel = Union[Monomial, GProduct]
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(NamedTuple):
     entries: tuple[tuple[Fraction, ...], ...]
     row_labels: tuple[BasisLabel, ...]
     col_labels: tuple[BasisLabel, ...]
@@ -71,8 +70,7 @@ class OrthogonalEigenfunction(NamedTuple):
     norm_squared: Fraction
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     d: int
     ell: int
     entries: tuple[SpectrumEntry, ...]
@@ -114,12 +112,12 @@ def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[Fraction, ...
         products = s_basis(d, ell)
         index = {p: i for i, p in enumerate(products)}
         rows = [[Fraction(0)] * len(products) for _ in products]
-        memo: dict[GProduct, GCombination] = {}
+        memo: dict[GProduct, dict] = {}
         for j, p in enumerate(products):
-            image = apply_t_structural(p).items()
+            image = _twice_t_structural(p).items()  # 2T, in ints; halved once below
             column = collect((r, c * cr) for q, c in image for r, cr in straighten_product(q, memo).items())
             for r, c in column.items():
-                rows[index[r]][j] = c
+                rows[index[r]][j] = Fraction(c, 2)
         return tuple(tuple(row) for row in rows)
     raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
 

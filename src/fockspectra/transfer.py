@@ -8,8 +8,10 @@ only the terms whose generators are nonzero, each sorted straight into canonical
 order (genfun.sorted_product).  Each realization sums its terms through
 poly.collect, the closed form in integers, as 2T.  Also the straightening of
 irregular two-factor products into regular ones, of any product into the basis
-of admissible products, and the alternating product identity used to cross-check
-that straightening exists, both on genfun's scaled expansions.
+of admissible products, both summed in ints wherever genfun's modular solve
+certifies the pair coefficients (straighten_pair returns them as Fractions),
+and the alternating product identity used to cross-check that straightening
+exists, both on genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable
 
-from . import genfun, linalg
+from . import genfun
 from .errors import ConsistencyError
 from .genfun import GCombination, GIndex, GProduct, g_value_is_zero, nonzero_factors, sorted_product
 from .partitions import is_regular_pair
@@ -102,20 +104,25 @@ def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
     """Rewrite g(d1,l1) g(d2,l2) as a combination of regular products.
 
     Regular input is returned unchanged.  Otherwise the product is solved
-    against the basis products of its component with at most two factors;
-    lu_solve certifies the answer on every monomial, and ConsistencyError
-    reports one that needs more factors.  The result consists of regular
-    pairs (single factors standing for pairs with g(0,0)) that all precede
-    the input in the "larger degree first, then smaller length" order.
+    against the basis products of its component with at most two factors
+    (genfun._solve, which certifies the answer on every monomial), and
+    ConsistencyError reports one that needs more factors.  The result
+    consists of regular pairs (single factors standing for pairs with
+    g(0,0)) that all precede the input in the "larger degree first, then
+    smaller length" order.
     """
     if len(nonzero_factors(((d1, l1), (d2, l2)))) < 2:  # a zero factor raises
         raise ValueError("factor g(0,0) is not a nonzero generator")
+    return {product: Fraction(c) for product, c in _straighten_pair(d1, l1, d2, l2).items()}
+
+
+def _straighten_pair(d1: int, l1: int, d2: int, l2: int) -> dict[GProduct, int]:
+    """straighten_pair for two nonzero factors, in ints where the modular solve certifies them."""
     if is_regular_pair(d1, l1, d2, l2):
-        return {((d1, l1), (d2, l2)): Fraction(1)}
-    products, factors = genfun._expansion_lu(d1 + d2, l1 + l2, 2)
+        return {((d1, l1), (d2, l2)): 1}
     pair = genfun._expand_canonical.__wrapped__(((d1, l1), (d2, l2)))  # scaled, as the LU's columns
     try:
-        coords = linalg.lu_solve(factors, pair.items())
+        products, coords = genfun._solve(d1 + d2, l1 + l2, 2, pair)
     except ValueError as e:
         raise ConsistencyError(
             f"straightening g({d1},{l1})g({d2},{l2}) needs products of more than two factors"
@@ -123,13 +130,14 @@ def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
     return {product: c for product, c in zip(products, coords) if c}
 
 
-def straighten_product(product: GProduct, memo: dict[GProduct, GCombination]) -> GCombination:
+def straighten_product(product: GProduct, memo: dict[GProduct, dict]) -> dict[GProduct, int]:
     """Coordinates of a canonical product in the basis of admissible products.
 
-    An admissible product is its own coordinate vector.  Otherwise its first
-    irregular adjacent pair is replaced by that pair's straighten_pair
-    combination, each resulting product is re-canonicalised and straightened
-    in turn, and the results are summed.  memo keeps the results for
+    An admissible product is its own coordinate vector, {product: 1}.
+    Otherwise its first irregular adjacent pair is replaced by that pair's
+    straightening, each resulting product is re-canonicalised and
+    straightened in turn, and the results are summed, in ints unless a
+    pair needed the rational fallback.  memo keeps the results for
     irregular products (pairs included) for as long as the caller holds it;
     the returned combinations must not be modified.
     """
@@ -140,9 +148,9 @@ def straighten_product(product: GProduct, memo: dict[GProduct, GCombination]) ->
         if not is_regular_pair(d1, l1, d2, l2):
             break
     else:
-        return {product: Fraction(1)}
+        return {product: 1}
     if len(product) == 2:
-        out = straighten_pair(d1, l1, d2, l2)
+        out = _straighten_pair(d1, l1, d2, l2)
     else:
         head, tail = product[:i], product[i + 2 :]
         out = collect(

@@ -449,6 +449,26 @@ def test_verify_to_degree_14_matches_its_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "af1d6100c4f6b495"
 
 
+def test_spectrum_at_dimension_199_matches_its_recorded_digest(capsys):
+    # (24,6): 199 basis products, straightened through 198 irregular-pair solves
+    code, out, _ = run_cli(capsys, "spectrum", "24", "6", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "d90248bc65477932"
+
+
+def test_importing_the_cli_leaves_dataclasses_out():
+    # dataclasses imports inspect, ast, dis and tokenize: about a fifth of a cold start
+    result = subprocess.run(
+        [sys.executable, "-E", "-s", "-c", "import sys, fockspectra, fockspectra.cli; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        cwd=Path(fockspectra.__file__).parents[1],
+    )
+    assert result.returncode == 0, result.stderr
+    assert "'fockspectra.cli'" in result.stdout
+    assert "'dataclasses'" not in result.stdout
+
+
 def test_output_is_deterministic(capsys):
     runs = [run_cli(capsys, "spectrum", "6", "3", "--json", "--eigenvectors")[1] for _ in range(2)]
     assert runs[0] == runs[1]

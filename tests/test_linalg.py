@@ -46,7 +46,10 @@ def _steps(rows):
     for j in range(len(a)):
         b = [Fraction(int(i == j)) for i in range(len(a))]
         assert linalg.lu_solve(factors, enumerate(b)) == linalg.mat_vec(linalg.invert(a), b)
-    return [(r, c) for r, c, *_ in factors]
+    order = [(r, c) for r, c, *_ in factors]
+    # modulo a prime the pivots follow the same rule
+    assert [(r, c) for r, c, *_ in linalg.lu_factor(_columns(rows), linalg.LU_PRIME)] == order
+    return order
 
 
 def test_lu_pivot_order_fill_in_and_cancellation():
@@ -122,6 +125,36 @@ def test_lu_agrees_with_dense_inverse(rows):
         else:
             with pytest.raises(ValueError):
                 linalg.lu_solve(factors, enumerate(unit))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.integers(1, n).flatmap(
+            lambda k: st.lists(
+                st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 7]), min_size=k, max_size=k),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    ),
+    st.data(),
+)
+def test_modular_lu_lifts_integer_answers_and_checks_every_row(rows, data):
+    # entries this small keep every minor far below the prime: singular modulo it only when singular over Q
+    q = linalg.LU_PRIME
+    n, k = len(rows), len(rows[0])
+    if linalg.rank(rows) < k:
+        with pytest.raises(SingularMatrixError):
+            linalg.lu_factor(_columns(rows), q)
+        return
+    factors = linalg.lu_factor(_columns(rows), q)
+    x0 = data.draw(st.lists(st.integers(-(q // 2), q // 2), min_size=k, max_size=k))
+    b = linalg.mat_vec(rows, x0)
+    assert linalg.lu_solve(factors, enumerate(b), q) == x0
+    # a nonzero residue on a label the matrix lacks
+    with pytest.raises(ValueError):
+        linalg.lu_solve(factors, [*enumerate(b), (n, 1)], q)
 
 
 def test_singular_expansion_matrix_is_a_consistency_error(monkeypatch, cold_caches):

@@ -72,7 +72,7 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
         raise AssertionError("spectrum applied T to monomials")
 
     pairs, solves, factorisations = [], [], []
-    real_pair, real_solve, real_lu = transfer.straighten_pair, linalg.lu_solve, genfun._expansion_lu
+    real_pair, real_solve, real_lu = transfer._straighten_pair, linalg.lu_solve, genfun._expansion_lu
 
     def straighten_pair(*args):
         pairs.append(args)
@@ -81,25 +81,26 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
         finally:
             pairs.pop()
 
-    def lu_solve(factors, b):
+    def lu_solve(factors, b, modulus=0):
         assert pairs, "spectrum solved a linear system outside straighten_pair"
+        assert modulus == linalg.LU_PRIME, "a straightening left the modular solve"
         d1, l1, d2, l2 = pairs[-1]
         solves.append((d1 + d2, l1 + l2))
-        return real_solve(factors, b)
+        return real_solve(factors, b, modulus)
 
     def expansion_lu(*args):
         factorisations.append(args)
         return real_lu(*args)
 
     monkeypatch.setattr(spectral, "apply_t", monomial_route)
-    monkeypatch.setattr(transfer, "straighten_pair", straighten_pair)
+    monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     monkeypatch.setattr(genfun, "_expansion_lu", expansion_lu)
     assert spectrum(12, 4).eigenvalues == (1, 3, 3, 5, 6, 7, 7, 10, 10, 10, 13, 15, 17, 19, 30)
     # one solve per distinct irregular pair, fewer than the 15 basis products
     assert 0 < solves.count((12, 4)) < 15
-    # every factorisation is of the products with at most two factors
-    assert factorisations and all(max_factors == 2 for _, _, max_factors in factorisations)
+    # every factorisation is modulo the prime, of the products with at most two factors
+    assert factorisations and all(args[2:] == (2, linalg.LU_PRIME) for args in factorisations)
 
 
 def test_cold_caches_finds_the_package_caches(cold_caches):
