@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: spectrum, basis, gpoly, straighten, hooks, tmatrix, verify.
-Output is deterministic: fixed key order, rationals as "numerator/denominator"
-strings, monomials as sorted [variable, exponent] pairs, generator products
-as [degree, length] pairs in basis order.  Exit codes: 0 success, 1
+Each request renders only the form it prints.  Output is deterministic: fixed
+key order, rationals as "numerator/denominator" strings, monomials as sorted
+[variable, exponent] pairs, generator products as [degree, length] pairs in
+basis order; JSON as json.dumps(indent=2) writes it.  Exit codes: 0 success, 1
 verification or internal consistency failure, 2 usage or resource error.
 """
 
@@ -16,6 +17,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import genfun, partitions, spectral, transfer
@@ -30,6 +32,7 @@ EXIT_USAGE = 2
 DEFAULT_MAX_DIM = 2000
 TABLE_CELLS = 10**7  # partition-table cells a guard fills before a closed-form bound may refuse
 RESOURCE_ERRORS = (MemoryError, OverflowError, RecursionError)
+_SCALARS = {int, str, bool, type(None)}  # a container of these alone takes one C encoder call
 
 
 class UsageError(Exception):
@@ -58,6 +61,33 @@ def gproduct_payload(p: GProduct) -> list[list[int]]:
 def gcombination_payload(comb: GCombination) -> list[list]:
     ordered = sorted(comb, key=partitions.product_sort_key)
     return [[gproduct_payload(p), fraction_str(comb[p])] for p in ordered]
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, indent=2) byte for byte; json's C encoder writes each container of scalars."""
+    if (make := json.encoder.c_make_encoder) is None:
+        return json.dumps(value, indent=2)
+    fixed, levels = (None, json.JSONEncoder().default, encode_basestring_ascii, None), {}  # no cycle check
+
+    def dump(v, depth: int) -> str:
+        if depth not in levels:  # json.dumps's C encoder, the depth's indentation in its separator
+            pad = "\n" + "  " * (depth + 1)
+            levels[depth] = make(*fixed, ": ", "," + pad, False, False, True), pad, "," + pad, pad[:-2]
+        encoder, pad, comma, close = levels[depth]
+        if not isinstance(v, (dict, list, tuple)) or not v:  # a scalar, "[]" or "{}"
+            return "".join(encoder(v, depth))
+        is_dict = isinstance(v, dict)
+        if is_dict and not {str}.issuperset(map(type, v)):
+            raise TypeError("keys must be str")  # json.dumps would print other keys as strings
+        if _SCALARS.issuperset(map(type, v.values() if is_dict else v)):
+            body = "".join(encoder(v, depth))[1:-1]
+        elif is_dict:
+            body = comma.join([encode_basestring_ascii(k) + ": " + dump(x, depth + 1) for k, x in v.items()])
+        else:
+            body = comma.join([dump(x, depth + 1) for x in v])
+        return ("{" if is_dict else "[") + pad + body + close + ("}" if is_dict else "]")
+
+    return dump(value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,64 +150,69 @@ def _parse_partition_arg(text: str) -> tuple[int, ...]:
         raise UsageError(str(e)) from None
 
 
-def _run_spectrum(args) -> tuple[dict, str, str]:
+def _run_spectrum(args) -> tuple:
     d, ell = _component(args)
     report = spectral.spectrum(d, ell, with_eigenvectors=args.eigenvectors)
-    entries = []
-    for e in report.entries:
-        item = {"eigenvalue": e.eigenvalue, "sequence": gproduct_payload(e.sequence)}
-        if args.eigenvectors:
-            item["eigenvector"] = poly_payload(e.eigenvector)
-        entries.append(item)
-    result = {
-        "d": d,
-        "ell": ell,
-        "eigenvalues": list(report.eigenvalues),
-        "dominant": report.dominant,
-        "has_zero": report.has_zero,
-        "entries": entries,
-    }
 
-    lines = [
-        f"spectrum on component ({d},{ell}): {list(report.eigenvalues)}",
-        f"dominant eigenvalue: {report.dominant}",
-        f"zero eigenvalue: {'yes' if report.has_zero else 'no'}",
-    ]
-    for e in report.entries:
-        lines.append(f"  {e.eigenvalue:>6}  {gproduct_str(e.sequence)}")
-        if args.eigenvectors:
-            lines.append(f"          eigenvector: {e.eigenvector}")
-    human = "\n".join(lines)
+    def result() -> dict:
+        entries = []
+        for e in report.entries:
+            item = {"eigenvalue": e.eigenvalue, "sequence": gproduct_payload(e.sequence)}
+            if args.eigenvectors:
+                item["eigenvector"] = poly_payload(e.eigenvector)
+            entries.append(item)
+        return {
+            "d": d,
+            "ell": ell,
+            "eigenvalues": list(report.eigenvalues),
+            "dominant": report.dominant,
+            "has_zero": report.has_zero,
+            "entries": entries,
+        }
 
-    rows = [[e.eigenvalue, gproduct_str(e.sequence)] for e in report.entries]
-    return result, human, _csv([["eigenvalue", "sequence"]] + rows)
+    def human() -> str:
+        lines = [
+            f"spectrum on component ({d},{ell}): {list(report.eigenvalues)}",
+            f"dominant eigenvalue: {report.dominant}",
+            f"zero eigenvalue: {'yes' if report.has_zero else 'no'}",
+        ]
+        for e in report.entries:
+            lines.append(f"  {e.eigenvalue:>6}  {gproduct_str(e.sequence)}")
+            if args.eigenvectors:
+                lines.append(f"          eigenvector: {e.eigenvector}")
+        return "\n".join(lines)
+
+    rows = ([e.eigenvalue, gproduct_str(e.sequence)] for e in report.entries)  # rendered only if read
+    return EXIT_OK, result, human, lambda: _csv([["eigenvalue", "sequence"], *rows])
 
 
-def _run_basis(args) -> tuple[dict, str]:
+def _run_basis(args) -> tuple:
     d, ell = _component(args)
     basis = spectral.s_basis(d, ell)
     diagrams = [partitions.profile_to_partition(p) for p in basis]
-    entries = [
-        {"product": gproduct_payload(p), "partition": list(parts)}
-        for p, parts in zip(basis, diagrams)
-    ]
-    result = {"d": d, "ell": ell, "size": len(basis), "entries": entries}
-    lines = [f"basis of component ({d},{ell}), {len(basis)} elements:"]
-    for p, parts in zip(basis, diagrams):
-        lines.append(f"  {gproduct_str(p)}  <->  partition {parts}")
-    return result, "\n".join(lines)
+
+    def result() -> dict:
+        entries = [{"product": gproduct_payload(p), "partition": list(ps)} for p, ps in zip(basis, diagrams)]
+        return {"d": d, "ell": ell, "size": len(basis), "entries": entries}
+
+    def human() -> str:
+        lines = [f"basis of component ({d},{ell}), {len(basis)} elements:"]
+        lines += (f"  {gproduct_str(p)}  <->  partition {parts}" for p, parts in zip(basis, diagrams))
+        return "\n".join(lines)
+
+    return EXIT_OK, result, human
 
 
-def _run_gpoly(args) -> tuple[dict, str]:
+def _run_gpoly(args) -> tuple:
     d, ell = args.d, args.ell
     _require(d >= 0 and ell >= 0, f"need d, ell >= 0, got ({d}, {ell})")
     _guard_dimension(d, ell, args.max_dim)
     f = genfun.g_poly(d, ell)
-    result = {"d": d, "ell": ell, "polynomial": poly_payload(f), "text": str(f)}
-    return result, str(f)
+    text = str(f)  # in both forms; costly for a coefficient of many digits
+    return EXIT_OK, lambda: {"d": d, "ell": ell, "polynomial": poly_payload(f), "text": text}, lambda: text
 
 
-def _run_straighten(args) -> tuple[dict, str]:
+def _run_straighten(args) -> tuple:
     regular = partitions.is_regular_pair(args.d1, args.l1, args.d2, args.l2)
     if not regular:  # an irregular pair is solved on the component of the product
         _guard_dimension(args.d1 + args.d2, args.l1 + args.l2, args.max_dim)
@@ -185,58 +220,51 @@ def _run_straighten(args) -> tuple[dict, str]:
         comb = transfer.straighten_pair(args.d1, args.l1, args.d2, args.l2)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    result = {
-        "input": [[args.d1, args.l1], [args.d2, args.l2]],
-        "regular": regular,
-        "combination": gcombination_payload(comb),
-        "text": gcombination_str(comb),
-    }
+    text = gcombination_str(comb)  # in both forms
     label = "regular (unchanged)" if regular else "straightened"
-    human = f"g({args.d1},{args.l1})g({args.d2},{args.l2}) {label}: {gcombination_str(comb)}"
-    return result, human
+    pair = [[args.d1, args.l1], [args.d2, args.l2]]
+    return (
+        EXIT_OK,
+        lambda: {"input": pair, "regular": regular, "combination": gcombination_payload(comb), "text": text},
+        lambda: f"g({args.d1},{args.l1})g({args.d2},{args.l2}) {label}: {text}",
+    )
 
 
-def _run_hooks(args) -> tuple[dict, str]:
+def _run_hooks(args) -> tuple:
     parts = _parse_partition_arg(args.partition)
     profile = partitions.hook_leg_profile(parts)
-    result = {
-        "partition": list(parts),
-        "entries": [
-            {"hook": e.hook, "leg": e.leg, "increment": e.increment} for e in profile
-        ],
-    }
-    pairs = " ".join(f"({e.hook},{e.leg})" for e in profile)
-    incs = ",".join(str(e.increment) for e in profile)
-    human = (
-        f"partition {tuple(parts)}\n"
-        f"hook/leg pairs: {pairs}\n"
-        f"leg increments: {incs}"
-    )
-    return result, human
+
+    def result() -> dict:
+        entries = [{"hook": e.hook, "leg": e.leg, "increment": e.increment} for e in profile]
+        return {"partition": list(parts), "entries": entries}
+
+    def human() -> str:
+        pairs = " ".join(f"({e.hook},{e.leg})" for e in profile)
+        incs = ",".join(str(e.increment) for e in profile)
+        return f"partition {tuple(parts)}\nhook/leg pairs: {pairs}\nleg increments: {incs}"
+
+    return EXIT_OK, result, human
 
 
-def _run_tmatrix(args) -> tuple[dict, str, str]:
+def _run_tmatrix(args) -> tuple:
     d, ell = _component(args)
     matrix = spectral.t_matrix(d, ell, basis=args.basis)
-    if args.basis == "monomial":
-        texts = [mono_str(m) for m in matrix.col_labels]
-        labels = [mono_payload(m) for m in matrix.col_labels]
-    else:
-        texts = [gproduct_str(p) for p in matrix.col_labels]
-        labels = [gproduct_payload(p) for p in matrix.col_labels]
-    result = {
-        "d": d,
-        "ell": ell,
-        "basis": args.basis,
-        "labels": labels,
-        "rows": [[fraction_str(v) for v in row] for row in matrix.entries],
-    }
-    lines = [f"matrix of the operator on ({d},{ell}), {args.basis} basis:"]
-    lines.append("columns: " + ", ".join(texts))
-    for row in matrix.entries:
-        lines.append("  [" + ", ".join(rational_str(v) for v in row) + "]")
-    rows = [[rational_str(v) for v in row] for row in matrix.entries]
-    return result, "\n".join(lines), _csv(rows)
+    monomial = args.basis == "monomial"
+    payload, label = (mono_payload, mono_str) if monomial else (gproduct_payload, gproduct_str)
+
+    def result() -> dict:
+        labels = [payload(c) for c in matrix.col_labels]
+        rows = [[fraction_str(v) for v in row] for row in matrix.entries]
+        return {"d": d, "ell": ell, "basis": args.basis, "labels": labels, "rows": rows}
+
+    def human() -> str:
+        lines = [f"matrix of the operator on ({d},{ell}), {args.basis} basis:"]
+        lines.append("columns: " + ", ".join(label(c) for c in matrix.col_labels))
+        for row in matrix.entries:
+            lines.append("  [" + ", ".join(rational_str(v) for v in row) + "]")
+        return "\n".join(lines)
+
+    return EXIT_OK, result, human, lambda: _csv([rational_str(v) for v in row] for row in matrix.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +362,19 @@ def _run_verify(args) -> tuple[dict, str]:
     )
     checks = _verify_checks(d)
     all_passed = all(c["status"] == "pass" for c in checks)
-    result = {"max_d": d, "checks": checks, "all_passed": all_passed}
-    lines = []
-    for c in checks:
-        status = "PASS" if c["status"] == "pass" else "FAIL"
-        lines.append(f"{c['name']:<32} {status}  ({c['cases']} cases)")
-        for f in c["failures"]:
-            lines.append(f"    failed: {f}")
-    lines.append("all checks passed" if all_passed else "VERIFICATION FAILED")
-    return result, "\n".join(lines)
+
+    def human() -> str:
+        lines = []
+        for c in checks:
+            status = "PASS" if c["status"] == "pass" else "FAIL"
+            lines.append(f"{c['name']:<32} {status}  ({c['cases']} cases)")
+            for f in c["failures"]:
+                lines.append(f"    failed: {f}")
+        lines.append("all checks passed" if all_passed else "VERIFICATION FAILED")
+        return "\n".join(lines)
+
+    code = EXIT_OK if all_passed else EXIT_FAIL
+    return code, lambda: {"max_d": d, "checks": checks, "all_passed": all_passed}, human
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectra of the degree/length-preserving operator on symmetric functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    with_csv = []  # the commands whose runner also returns a CSV text
+    with_csv = []  # the commands whose runner also returns a CSV form
 
     def command(name, run, help, *int_positionals, has_csv=False):
         if has_csv:
@@ -413,28 +445,21 @@ def _answer(args: argparse.Namespace) -> int:
         print(f"error: --csv is only available for {' and '.join(args.csv_commands)}", file=sys.stderr)
         return EXIT_USAGE
     envelope = {"command": args.command, "params": _params_of(args), "status": "ok"}
-    try:
-        result, human, *csv_form = args.run(args)  # only a command with a CSV form returns one
+    try:  # a runner computes its data; only the form printed is rendered, here
+        code, *forms = args.run(args)  # exit code; renderers of payload, text and, if any, CSV
+        out = _dumps({**envelope, "result": forms[0]()}) if args.json else forms[2 if args.csv else 1]()
     except (UsageError, ConsistencyError, *RESOURCE_ERRORS) as e:
         text = str(e)
         if isinstance(e, RESOURCE_ERRORS):
             text = ": ".join(filter(None, ["resource error", type(e).__name__, text]))
         if args.json:
             envelope.update(status="fail", error=text)
-            print(json.dumps(envelope, indent=2))
+            print(_dumps(envelope))
         else:
             print(f"error: {text}", file=sys.stderr)
         return EXIT_FAIL if isinstance(e, ConsistencyError) else EXIT_USAGE
-    if args.csv:
-        print(csv_form[0])
-    elif args.json:
-        envelope["result"] = result
-        print(json.dumps(envelope, indent=2))
-    else:
-        print(human)
-    if args.command == "verify" and not result["all_passed"]:
-        return EXIT_FAIL
-    return EXIT_OK
+    print(out)
+    return code
 
 
 if __name__ == "__main__":
