@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 from . import genfun, partitions, spectral, transfer
 from .errors import ConsistencyError
-from .genfun import GCombination, GProduct, gcombination_str, gproduct_str
-from .poly import Monomial, Polynomial, collect, mono_norm_sq, mono_str, monomial_basis, rational_str
+from .genfun import GCombination, gcombination_str, gproduct_str
+from .poly import Polynomial, collect, mono_norm_sq, mono_str, monomial_basis, rational_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,21 +46,13 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def mono_payload(m: Monomial) -> list[list[int]]:
-    return [[k, a] for k, a in m]
-
-
 def poly_payload(f: Polynomial) -> list[list]:
-    return [[mono_payload(m), fraction_str(c)] for m, c in f.terms()]
-
-
-def gproduct_payload(p: GProduct) -> list[list[int]]:
-    return [[d, ell] for d, ell in p]
+    return [[m, fraction_str(c)] for m, c in f.terms()]
 
 
 def gcombination_payload(comb: GCombination) -> list[list]:
     ordered = sorted(comb, key=partitions.product_sort_key)
-    return [[gproduct_payload(p), fraction_str(comb[p])] for p in ordered]
+    return [[p, fraction_str(comb[p])] for p in ordered]
 
 
 def _dumps(value) -> str:
@@ -157,7 +149,7 @@ def _run_spectrum(args) -> tuple:
     def result() -> dict:
         entries = []
         for e in report.entries:
-            item = {"eigenvalue": e.eigenvalue, "sequence": gproduct_payload(e.sequence)}
+            item = {"eigenvalue": e.eigenvalue, "sequence": e.sequence}
             if args.eigenvectors:
                 item["eigenvector"] = poly_payload(e.eigenvector)
             entries.append(item)
@@ -192,7 +184,7 @@ def _run_basis(args) -> tuple:
     diagrams = [partitions.profile_to_partition(p) for p in basis]
 
     def result() -> dict:
-        entries = [{"product": gproduct_payload(p), "partition": list(ps)} for p, ps in zip(basis, diagrams)]
+        entries = [{"product": p, "partition": list(ps)} for p, ps in zip(basis, diagrams)]
         return {"d": d, "ell": ell, "size": len(basis), "entries": entries}
 
     def human() -> str:
@@ -249,13 +241,11 @@ def _run_hooks(args) -> tuple:
 def _run_tmatrix(args) -> tuple:
     d, ell = _component(args)
     matrix = spectral.t_matrix(d, ell, basis=args.basis)
-    monomial = args.basis == "monomial"
-    payload, label = (mono_payload, mono_str) if monomial else (gproduct_payload, gproduct_str)
+    label = mono_str if args.basis == "monomial" else gproduct_str
 
     def result() -> dict:
-        labels = [payload(c) for c in matrix.col_labels]
         rows = [[fraction_str(v) for v in row] for row in matrix.entries]
-        return {"d": d, "ell": ell, "basis": args.basis, "labels": labels, "rows": rows}
+        return {"d": d, "ell": ell, "basis": args.basis, "labels": list(matrix.col_labels), "rows": rows}
 
     def human() -> str:
         lines = [f"matrix of the operator on ({d},{ell}), {args.basis} basis:"]

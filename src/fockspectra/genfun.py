@@ -13,22 +13,22 @@ the canonical factor sequence, in scaled integer coordinates
 F_m = c_m * mono_norm_sq(m); a generator is its one-factor product, and g_poly
 returns a fresh Fraction polynomial, not the stored object.  Column j of the
 expansion matrix E holds the monomial coefficients of the j-th basis product.
-_expansion_lu keeps, per component, bound on the factor count and modulus,
-the sparse LU (linalg.lu_factor) of the columns of E whose products have at
-most that many factors, built from their scaled terms (row m scaled by
-mono_norm_sq(m)), and each column's height, its largest |F_m|.  _solve, which
-transfer.straighten_pair uses on the products with at most two factors,
-solves modulo linalg.LU_PRIME and keeps the answer, in ints, when the heights
-bound every residual below the prime; otherwise it solves over Q.
-expand_in_gbasis, whose coordinates can be true fractions, solves on all of E
-over Q.  expansion_matrix gives E densely, for the tests.
+_expansion_lu keeps, per component, bound on the factor count and prime, the
+sparse LU (linalg.lu_factor) of the columns of E whose products have at most
+that many factors, built from their scaled terms (row m scaled by
+mono_norm_sq(m)), and each column's height, its largest |F_m|.  _solve is
+the package's one solve: transfer.straighten_pair uses it on the products
+with at most two factors, expand_in_gbasis on all of E.  It solves modulo
+each prime of linalg.LU_PRIMES in turn, reads the answer back as fractions
+and keeps it when the heights bound every residual below the prime.
+expansion_matrix gives E densely, for the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb as binomial, lcm
+from math import comb as binomial, isqrt, lcm
 from typing import Iterable, Iterator
 
 from . import linalg
@@ -152,13 +152,11 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)  # read by every later solve on the component
-def _expansion_lu(
-    d: int, ell: int, max_factors: int, modulus: int = 0
-) -> tuple[tuple[GProduct, ...], linalg.LUFactors, tuple[int, ...]]:
+def _expansion_lu(d: int, ell: int, max_factors: int, q: int) -> tuple[tuple, linalg.LUFactors, tuple]:
     """The basis products of (d, ell) with at most max_factors factors, the
-    sparse LU of their scaled columns of E (over Q, or modulo a prime
-    modulus), and each column's height max_m |F_m|.  Only the heights stay
-    of the columns themselves."""
+    sparse LU of their scaled columns of E modulo a prime q, and each
+    column's height max_m |F_m|.  Only the heights stay of the columns
+    themselves."""
     products = tuple(p for p in admissible_sequences(d, ell) if len(p) <= max_factors)
     heights = []
 
@@ -169,7 +167,7 @@ def _expansion_lu(
             yield column.items()
 
     try:
-        factors = linalg.lu_factor(columns(), modulus)
+        factors = linalg.lu_factor(columns(), q)
     except SingularMatrixError as e:
         raise ConsistencyError(
             f"expansion matrix for component ({d},{ell}) is singular; "
@@ -178,29 +176,51 @@ def _expansion_lu(
     return products, factors, tuple(heights)
 
 
+def _read_back(v: int, q: int, n: int):
+    """The X/D congruent to v modulo q with |X|, D <= n, an int when D = 1, or None; for
+    2 n^2 < q there is at most one.  Half extended Euclid on (q, v), stopped at the first
+    remainder <= n (von zur Gathen & Gerhard, Modern Computer Algebra, Sec. 5.10)."""
+    if v <= n or q - v <= n:
+        return v if v <= n else v - q
+    r0, r1, t0, t1 = q, v, 0, 1
+    while r1 > n:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if abs(t1) <= n else None
+
+
 def _solve(d: int, ell: int, max_factors: int, b: dict) -> tuple[tuple[GProduct, ...], list]:
     """The basis products of (d, ell) with at most max_factors factors and
     the coordinates x on them of b, a vector in scaled coordinates
-    {monomial: int}; ValueError when b is not in their span.
+    {monomial: int}: ints where x_j is one, Fractions elsewhere.
 
-    x is solved modulo q = linalg.LU_PRIME, each coordinate lifted into
-    (-q/2, q/2), and kept when sum_j |x_j| h_j + max_m |b_m| < q for the
-    column heights h_j: every residual (E x - b)_m is then an int below q
-    that q divides, so 0, and the LU proves the columns independent, so x is
-    the answer, in ints.  Otherwise, or when the columns are singular
-    modulo q, it is solved over Q.
+    For each prime q of linalg.LU_PRIMES in turn, x is solved modulo q,
+    read back as X_j/D with one denominator D, and kept when
+    sum_j |X_j| h_j + D max_m |b_m| < q for the column heights h_j: every
+    residual (E X - D b)_m is then an int below q that q divides, so 0, and
+    the columns are independent.  A b outside the span of columns
+    independent modulo q is outside it over Q: ValueError.  Columns singular
+    modulo every prime raise ConsistencyError; a table exhausted otherwise,
+    OverflowError.
     """
-    q = linalg.LU_PRIME
-    try:
-        products, factors, heights = _expansion_lu(d, ell, max_factors, q)
-        x = linalg.lu_solve(factors, b.items(), q)
-    except (ConsistencyError, ValueError):
-        pass
-    else:
-        if sum(abs(c) * h for c, h in zip(x, heights)) + max(map(abs, b.values()), default=0) < q:
-            return products, x
-    products, factors, _ = _expansion_lu(d, ell, max_factors)
-    return products, linalg.lu_solve(factors, b.items())
+    top, independent, singular = max(map(abs, b.values()), default=0), False, None
+    for q in linalg.LU_PRIMES:
+        try:
+            products, factors, heights = _expansion_lu(d, ell, max_factors, q)
+        except ConsistencyError as e:
+            singular = e
+            continue
+        independent, n = True, isqrt((q - 1) // 2)
+        x = [_read_back(v, q, n) for v in linalg.lu_solve(factors, b.items(), q)]
+        if None not in x:
+            den = lcm(*(c.denominator for c in x))
+            if den * (top + sum(abs(c) * h for c, h in zip(x, heights))) < q:
+                return products, x
+    if not independent:
+        raise singular
+    raise OverflowError(
+        f"no Mersenne prime in the table exceeds the bound sum_j |X_j| h_j + D max|b| on ({d},{ell})"
+    )
 
 
 def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
@@ -208,16 +228,18 @@ def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
 
     f must be bihomogeneous of bidegree (d, ell); the zero polynomial is
     accepted and yields the zero vector.  No basis product has more than ell
-    factors, so this solves on the whole of E, over Q: its coordinates can
-    be true fractions.
+    factors, so _solve works on the whole of E, once the lcm L of the
+    denominators of f's scaled coefficients has cleared them.
     """
     for m in f.monomials():
         if bidegree(m) != (d, ell):
             raise ValueError(
                 f"term {m} has bidegree {tuple(bidegree(m))}, expected ({d}, {ell})"
             )
-    scaled = ((m, c * mono_norm_sq(m)) for m, c in f.terms())  # the rows of the scaled columns
-    return tuple(linalg.lu_solve(_expansion_lu(d, ell, ell)[1], scaled))
+    scaled = {m: c * mono_norm_sq(m) for m, c in f._terms.items()}  # the rows of the scaled columns
+    den = lcm(*(c.denominator for c in scaled.values()))
+    b = {m: c.numerator * (den // c.denominator) for m, c in scaled.items()}
+    return tuple(Fraction(c, den) for c in _solve(d, ell, ell, b)[1])
 
 
 def gproduct_str(product: GProduct) -> str:

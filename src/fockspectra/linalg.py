@@ -1,19 +1,18 @@
-"""Exact linear algebra: one sparse LU, over Q or modulo a prime, a
-characteristic polynomial, and dense elimination for the tests; nothing here
-touches floating point.
+"""Exact linear algebra: one sparse LU modulo a prime, a characteristic
+polynomial, and dense elimination for the tests; nothing here touches
+floating point.
 
 lu_factor/lu_solve take sparse columns and right-hand sides as (row label,
-value) pairs, for k <= n independent columns solved many times, with one
-pivot rule and one step format over either field; lu_solve checks the
-residual on every row, exactly over Q, modulo q otherwise, where it lifts each
-coordinate into (-q/2, q/2).  The package solves modulo LU_PRIME = 2^61 - 1
-first (genfun._solve certifies those answers in ints).  char_poly clears
-denominators and works modulo a Mersenne prime above twice Hadamard's bound
-on the coefficients: Hessenberg form, then Cohen's recurrence (Alg. 2.2.9),
-O(n^3) in all.  The package itself calls only lu_factor/lu_solve, char_poly
-and poly_from_roots; the dense routines (rref, rank, invert, null_space)
-serve the tests as references, and rref's pivot choice affects only the
-amount of arithmetic.
+int value) pairs, for k <= n independent columns solved many times modulo a
+prime q; lu_solve checks the residual on every row and returns residues.
+genfun._solve, the package's one solve, tries the primes of LU_PRIMES in
+turn, reads each answer back as fractions and certifies it in ints.
+char_poly clears denominators and works modulo a Mersenne prime above twice
+Hadamard's bound on the coefficients: Hessenberg form, then Cohen's
+recurrence (Alg. 2.2.9), O(n^3) in all.  The package itself calls only
+lu_factor/lu_solve, char_poly and poly_from_roots; the dense routines (rref,
+rank, invert, null_space) serve the tests as references, and rref's pivot
+choice affects only the amount of arithmetic.
 """
 
 from __future__ import annotations
@@ -102,34 +101,33 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix:
 # with the pivot entry at (row, col), the rest of that row as (col, value)
 # pairs, and the multipliers (other row, factor) that cleared col from the
 # rows still unpivoted.  Rows are named by their labels, columns by position.
-# Values are Fractions, or residues in [0, q) for a factorisation modulo q.
-SparseEntries = tuple[tuple[Hashable, Fraction], ...]
-LUFactors = tuple[tuple[Hashable, int, Fraction, SparseEntries, SparseEntries], ...]
+# Values are residues in [0, q).
+SparseEntries = tuple[tuple[Hashable, int], ...]
+LUFactors = tuple[tuple[Hashable, int, int, SparseEntries, SparseEntries], ...]
 
-# The prime modulo which the package tries its solves first.
-LU_PRIME = 2**61 - 1
+# The primes modulo which the package solves, in the order it tries them.
+LU_PRIMES = tuple(2**e - 1 for e in _MERSENNE_EXPONENTS if e >= 61)
 
 
-def lu_factor(columns: Iterable[Iterable[tuple[Hashable, Fraction]]], modulus: int = 0) -> LUFactors:
-    """Sparse LU factorisation of n rows and k <= n columns, each column given
-    as (row label, value) pairs, over Q, or over Z/q for a prime modulus q
-    and int values; raises SingularMatrixError unless the columns are
-    linearly independent over that field.
+def lu_factor(columns: Iterable[Iterable[tuple[Hashable, int]]], modulus: int) -> LUFactors:
+    """Sparse LU factorisation modulo a prime q of n rows and k <= n
+    columns, each column given as (row label, int value) pairs; raises
+    SingularMatrixError unless the columns are linearly independent modulo
+    q, which implies independence over Q.
 
     Each step pivots on the remaining column with the fewest nonzeros, then on
     that column's shortest row, ties going to the lower index or label, so the
     pivot order depends only on the sparsity pattern.  It stops after k
     pivots; the rows left unpivoted are where lu_solve checks its residual.
-    Independence modulo a prime implies independence over Q.
     """
     q = modulus
     labels: dict = {}  # one copy of each label, so the steps keep no column's own
-    live: dict[Hashable, dict[int, Fraction]] = {}
+    live: dict[Hashable, dict[int, int]] = {}
     col_rows: dict[int, set] = {}
     for j, column in enumerate(columns):
         col_rows[j] = set()
         for i, v in column:
-            v = v % q if q else Fraction(v)
+            v %= q
             if v:
                 i = labels.setdefault(i, i)
                 live.setdefault(i, {})[j] = v
@@ -142,21 +140,17 @@ def lu_factor(columns: Iterable[Iterable[tuple[Hashable, Fraction]]], modulus: i
             raise SingularMatrixError(f"column {c} lies in the span of the columns pivoted before it")
         r = min(candidates, key=lambda i: (len(live[i]), i))
         prow = live.pop(r)
-        inverse = pow(prow.pop(c), -1, q) if q else 1 / prow.pop(c)
+        inverse = pow(prow.pop(c), -1, q)
         for j in prow:
             col_rows[j].discard(r)
         candidates.discard(r)
         lower = []
         for i in candidates:
             row = live[i]
-            f = row.pop(c) * inverse
-            if q:
-                f %= q
+            f = row.pop(c) * inverse % q
             lower.append((i, f))
             for j, u in prow.items():
-                v = row.get(j, 0) - f * u
-                if q:
-                    v %= q
+                v = (row.get(j, 0) - f * u) % q
                 if v:
                     if j not in row:
                         col_rows[j].add(i)
@@ -168,33 +162,30 @@ def lu_factor(columns: Iterable[Iterable[tuple[Hashable, Fraction]]], modulus: i
     return tuple(steps)
 
 
-def lu_solve(factors: LUFactors, b: Iterable[tuple[Hashable, Fraction]], modulus: int = 0) -> Vector:
-    """The unique x with A x = b, for the A that lu_factor factorised with
-    the same modulus and b given as (row label, value) pairs.  Forward
-    elimination must leave zero on every row without a pivot, a label that A
-    lacks included, so each x returned solves A x = b exactly, or modulo q
-    with each coordinate an int lifted into (-q/2, q/2); otherwise ValueError.
+def lu_solve(factors: LUFactors, b: Iterable[tuple[Hashable, int]], modulus: int) -> list[int]:
+    """The unique x, as residues in [0, q), with A x = b modulo q, for the A
+    that lu_factor factorised modulo q and b given as (row label, int value)
+    pairs.  Forward elimination must leave zero on every row without a pivot,
+    a label that A lacks included; otherwise ValueError.
     """
     q = modulus
-    y = {i: v % q if q else Fraction(v) for i, v in b if v}
+    y = {i: v % q for i, v in b if v}
     pivoted = []
     for r, _, _, _, lower in factors:
-        v = y.pop(r, 0)
-        if q:
-            v %= q
+        v = y.pop(r, 0) % q
         pivoted.append(v)
         if v:
             for i, f in lower:
                 y[i] = y.get(i, 0) - f * v
-    if any(v % q if q else v for v in y.values()):
+    if any(v % q for v in y.values()):
         raise ValueError("the right-hand side is not in the column span of the matrix")
-    x = [0 if q else Fraction(0)] * len(factors)
+    x = [0] * len(factors)
     for (_, c, inverse, upper, _), s in zip(reversed(factors), reversed(pivoted)):
         for j, u in upper:
             if x[j]:
                 s -= u * x[j]
-        x[c] = s * inverse % q if q else s * inverse
-    return [v - q if 2 * v > q else v for v in x] if q else x
+        x[c] = s * inverse % q
+    return x
 
 
 def null_space(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from . import partitions
 
@@ -116,19 +116,16 @@ def combination_str(terms: Iterable[tuple[str, Scalar]]) -> str:
     return " ".join(pieces) or "0"
 
 
-def collect(pairs: Iterable[tuple[Hashable, Scalar]], out: Optional[dict] = None) -> dict:
+def collect(pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
     """The one rule for summing terms: add the coefficients of equal keys,
-    then drop the zero sums, once, at the end.  Given a dict out of nonzero
-    values, sum onto it: only the keys of pairs can then become zero."""
-    given = out is not None
-    pairs, out = (list(pairs), out) if given else (pairs, {})
+    then drop the zero sums, once, at the end."""
+    out: dict = {}
     for key, c in pairs:
         if key in out:
             out[key] += c
         else:
             out[key] = c
-    sums = {key: out[key] for key, _ in pairs} if given else out
-    for key in [key for key, c in sums.items() if not c]:
+    for key in [key for key, c in out.items() if not c]:
         del out[key]
     return out
 
@@ -215,8 +212,7 @@ class Polynomial:
             other = Polynomial({MONO_ONE: other})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        small, large = sorted((self._terms, other._terms), key=len)
-        return Polynomial._of(collect(small.items(), dict(large)))
+        return Polynomial._of(collect([*self._terms.items(), *other._terms.items()]))
 
     __radd__ = __add__
 

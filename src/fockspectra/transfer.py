@@ -7,10 +7,10 @@ on products of the generators g(d, l), which validates only its input and builds
 only the terms whose generators are nonzero, each sorted straight into canonical
 order (genfun.sorted_product).  Each realization sums its terms through
 poly.collect, the closed form in integers, as 2T.  Also the straightening of
-irregular two-factor products into regular ones, of any product into the basis
-of admissible products, both summed in ints wherever genfun's modular solve
-certifies the pair coefficients (straighten_pair returns them as Fractions),
-and the alternating product identity used to cross-check that straightening
+irregular two-factor products into regular ones, by genfun's one solve, and
+of any product into the basis of admissible products, both in ints where the
+pair coefficients are ints (straighten_pair returns them as Fractions), and
+the alternating product identity used to cross-check that straightening
 exists, both on genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
@@ -117,7 +117,7 @@ def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
 
 
 def _straighten_pair(d1: int, l1: int, d2: int, l2: int) -> dict[GProduct, int]:
-    """straighten_pair for two nonzero factors, in ints where the modular solve certifies them."""
+    """straighten_pair for two nonzero factors, in ints where the coefficients are ints."""
     if is_regular_pair(d1, l1, d2, l2):
         return {((d1, l1), (d2, l2)): 1}
     pair = genfun._expand_canonical.__wrapped__(((d1, l1), (d2, l2)))  # scaled, as the LU's columns
@@ -136,8 +136,8 @@ def straighten_product(product: GProduct, memo: dict[GProduct, dict]) -> dict[GP
     An admissible product is its own coordinate vector, {product: 1}.
     Otherwise its first irregular adjacent pair is replaced by that pair's
     straightening, each resulting product is re-canonicalised and
-    straightened in turn, and the results are summed, in ints unless a
-    pair needed the rational fallback.  memo keeps the results for
+    straightened in turn, and the results are summed, in ints where the
+    pair coefficients are ints.  memo keeps the results for
     irregular products (pairs included) for as long as the caller holds it;
     the returned combinations must not be modified.
     """

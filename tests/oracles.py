@@ -6,16 +6,19 @@ sum-over-derivative-pairs operator instead of the per-monomial loop,
 Faddeev-LeVerrier traces and Leibniz permanent-style determinants instead of
 Hessenberg reduction for characteristic polynomials, Newton's recurrence
 for the complete symmetric functions, a Fraction fold of Polynomial products
-for the scaled integer store of expanded products, the monomial route
-through the expansion matrix for the product-basis matrix of T, a solve
-against the whole expansion matrix for the straightening of a pair, a
-dense null space per eigenvalue for its eigenvectors, and successive
-projections for their Gram-Schmidt orthogonalisation.
+for the scaled integer store of expanded products, the dense inverse of the
+expansion matrix, in Fractions, for the change of basis (where the package
+solves modulo primes), and through it the monomial route for the
+product-basis matrix of T and a solve against the whole expansion matrix
+for the straightening of a pair, a dense null space per eigenvalue for its
+eigenvectors, and successive projections for their Gram-Schmidt
+orthogonalisation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial, prod
 
@@ -25,7 +28,7 @@ from fockspectra import (
     Polynomial,
     apply_t,
     eigenbasis,
-    expand_in_gbasis,
+    expansion_matrix,
     g_poly,
     g_product_expand,
     inner_product,
@@ -164,19 +167,31 @@ def apply_t_reference(f: Polynomial) -> Polynomial:
     return out / 2
 
 
+@cache
+def _expansion_inverse(d: int, ell: int):
+    """The dense inverse of the expansion matrix E of (d, ell), once per component."""
+    return linalg.invert(expansion_matrix(d, ell))
+
+
+def expand_in_gbasis_reference(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
+    """Coordinates of f in the product basis of (d, ell): E^-1 times its
+    monomial coordinates, in Fractions."""
+    return tuple(linalg.mat_vec(_expansion_inverse(d, ell), [f.coefficient(m) for m in monomial_basis(d, ell)]))
+
+
 def gbasis_t_matrix_reference(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
     """Product-basis matrix of T by the monomial route: expand each basis
     product, apply T to the monomials, and solve against the expansion matrix."""
     products = s_basis(d, ell)
-    cols = [expand_in_gbasis(apply_t(g_product_expand(p)), d, ell) for p in products]
+    cols = [expand_in_gbasis_reference(apply_t(g_product_expand(p)), d, ell) for p in products]
     return tuple(tuple(col[i] for col in cols) for i in range(len(products)))
 
 
 def straighten_pair_reference(d1: int, l1: int, d2: int, l2: int) -> dict:
     """Nonzero coordinates of g(d1,l1) g(d2,l2) in the whole basis of its
-    component, solved against all of E by expand_in_gbasis."""
+    component, solved against all of E by its dense inverse."""
     d, ell = d1 + d2, l1 + l2
-    coords = expand_in_gbasis(g_poly(d1, l1) * g_poly(d2, l2), d, ell)
+    coords = expand_in_gbasis_reference(g_poly(d1, l1) * g_poly(d2, l2), d, ell)
     return {p: c for p, c in zip(s_basis(d, ell), coords) if c}
 
 

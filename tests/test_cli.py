@@ -50,8 +50,8 @@ def test_spectrum_eigenvectors_round_trip(capsys):
     assert len(entries) == len(report.entries)
     for entry_json, entry in zip(entries, report.entries):
         assert entry_json["eigenvalue"] == entry.eigenvalue
-        assert entry_json["sequence"] == cli.gproduct_payload(entry.sequence)
-        assert entry_json["eigenvector"] == cli.poly_payload(entry.eigenvector)
+        assert entry_json["sequence"] == [list(pair) for pair in entry.sequence]
+        assert entry_json["eigenvector"] == json.loads(json.dumps(cli.poly_payload(entry.eigenvector)))
     assert entries == [
         {"eigenvalue": 0, "sequence": [[3, 1], [1, 1]], "eigenvector": [[[[1, 1], [3, 1]], "1/3"], [[[2, 2]], "-1/3"]]},
         {"eigenvalue": 3, "sequence": [[4, 2]], "eigenvector": [[[[1, 1], [3, 1]], "1/1"], [[[2, 2]], "1/2"]]},
@@ -86,7 +86,7 @@ def test_gpoly_output(capsys):
     code, out, _ = run_cli(capsys, "gpoly", "4", "2", "--json")
     payload = json.loads(out)
     assert payload["result"]["polynomial"] == [[[[1, 1], [3, 1]], "1/1"], [[[2, 2]], "1/2"]]
-    assert payload["result"]["polynomial"] == cli.poly_payload(g_poly(4, 2))
+    assert payload["result"]["polynomial"] == json.loads(json.dumps(cli.poly_payload(g_poly(4, 2))))
 
 
 def test_straighten_output(capsys):

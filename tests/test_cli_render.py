@@ -96,11 +96,13 @@ def counting(monkeypatch, owner, name):
         (["tmatrix", "8", "3", "--json"], cli, "_csv", 0),
         (["spectrum", "8", "3", "--json"], cli, "gproduct_str", 0),
         # text and CSV build no JSON payload, and text no CSV
-        (["spectrum", "8", "3", "--csv"], cli, "gproduct_payload", 0),
-        (["spectrum", "8", "3"], cli, "gproduct_payload", 0),
+        (["spectrum", "8", "3", "--csv", "--eigenvectors"], cli, "poly_payload", 0),
+        (["spectrum", "8", "3", "--eigenvectors"], cli, "poly_payload", 0),
         (["spectrum", "8", "3"], cli, "_csv", 0),
         (["tmatrix", "8", "3", "--csv"], cli, "fraction_str", 0),
         (["tmatrix", "8", "3"], cli, "fraction_str", 0),
+        # JSON builds one payload per eigenvector
+        (["spectrum", "8", "3", "--eigenvectors", "--json"], cli, "poly_payload", 5),
     ],
 )
 def test_a_request_renders_only_the_form_it_prints(monkeypatch, capsys, argv, owner, name, expected):
@@ -122,7 +124,7 @@ def test_verify_exits_by_its_checks_in_every_form(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, renderer",
     [
-        (["spectrum", "4", "2", "--json"], "gproduct_payload"),
+        (["spectrum", "4", "2", "--json", "--eigenvectors"], "poly_payload"),
         (["spectrum", "4", "2"], "gproduct_str"),
         (["spectrum", "4", "2", "--csv"], "gproduct_str"),
         (["tmatrix", "4", "2", "--json"], "fraction_str"),

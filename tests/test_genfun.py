@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from fockspectra import (
     spanning_products,
     x,
 )
-from fockspectra import genfun
+from fockspectra import genfun, linalg
 from fockspectra.genfun import canonical_product, expand_combination, gcombination_str, gproduct_str
 from fockspectra.poly import mono_norm_sq
 
@@ -197,6 +198,47 @@ def test_expansion_reconstruction_is_exact():
                 coords = expand_in_gbasis(f, d, ell)
                 comb = {p: c for p, c in zip(s_basis(d, ell), coords) if c}
                 assert expand_combination(comb) == f
+
+
+# clearing up to 15 such denominators puts the scaled coordinates past 2^900
+large_denominators = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_expand_in_gbasis_equals_the_dense_inverse_on_every_component(data):
+    for d in range(1, 13):
+        for ell in range(1, d + 1):
+            monos = monomial_basis(d, ell)
+            coeffs = st.lists(st.one_of(st.just(0), large_denominators), min_size=len(monos), max_size=len(monos))
+            f = Polynomial(dict(zip(monos, data.draw(coeffs))))
+            assert expand_in_gbasis(f, d, ell) == oracles.expand_in_gbasis_reference(f, d, ell), (d, ell)
+
+
+N61 = 2**30 - 1  # the read-back bound modulo 2^61 - 1: 2 N61^2 < 2^61 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-N61, N61), st.integers(1, N61), st.integers(0, 2**61 - 2))
+def test_read_back_finds_every_fraction_within_its_bound(num, den, v):
+    q = 2**61 - 1
+    assert isqrt((q - 1) // 2) == N61
+    got = genfun._read_back(num * pow(den, -1, q) % q, q, N61)
+    assert got == Fraction(num, den) and isinstance(got, int) == (num % den == 0)
+    # any residue: a fraction within the bound congruent to it, or None
+    got = genfun._read_back(v, q, N61)
+    if got is not None:
+        got = Fraction(got)
+        assert abs(got.numerator) <= N61 and got.denominator <= N61
+        assert (got.numerator - got.denominator * v) % q == 0
+
+
+def test_an_exhausted_prime_table_raises_the_named_error(monkeypatch, cold_caches):
+    # modulo 2^61 - 1 alone, coordinates read back only up to 2^30 in size
+    monkeypatch.setattr(linalg, "LU_PRIMES", (2**61 - 1,))
+    assert expand_in_gbasis(x(2) ** 2 * 2**28, 4, 2) == (2**29, -(2**29))
+    with pytest.raises(OverflowError, match=r"no Mersenne prime in the table exceeds the bound .* \(4,2\)"):
+        expand_in_gbasis(x(2) ** 2 * 2**30, 4, 2)
 
 
 def test_spanning_products_small():

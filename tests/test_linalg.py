@@ -16,40 +16,53 @@ from fockspectra import (
 from fockspectra.errors import ConsistencyError, SingularMatrixError
 
 
+Q = linalg.LU_PRIMES[0]  # 2^61 - 1
+
+
+def _residue(v) -> int:
+    """v modulo Q, for a rational v whose denominator Q does not divide."""
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, Q) % Q
+
+
 def _columns(rows):
-    """The columns of a dense matrix in lu_factor's (row label, value) form."""
-    return [list(enumerate(col)) for col in zip(*rows)]
+    """The columns of a dense matrix in lu_factor's (row label, value) form, modulo Q."""
+    return [[(i, _residue(v)) for i, v in enumerate(col)] for col in zip(*rows)]
+
+
+def _solve(factors, b):
+    return linalg.lu_solve(factors, [(i, _residue(v)) for i, v in enumerate(b)], Q)
 
 
 def test_lu_solve_matches_dense_inverse_on_every_component():
-    # the dense inverse is the oracle; b runs over the monomial coordinates of
-    # T applied to each basis product, the vectors the spectrum path solves for
+    # the dense inverse is the oracle, read modulo Q; b runs over the monomial
+    # coordinates of T applied to each basis product, the vectors the
+    # spectrum path solves for
     for d in range(1, 14):
         for ell in range(1, d + 1):
             e = [list(row) for row in expansion_matrix(d, ell)]
-            factors = linalg.lu_factor(_columns(e))
+            factors = linalg.lu_factor(_columns(e), Q)
             # the same matrix with its rows labelled by monomial, as genfun builds it
-            sparse = linalg.lu_factor(g_product_expand(q).terms() for q in s_basis(d, ell))
+            sparse = linalg.lu_factor(
+                ([(m, _residue(c)) for m, c in g_product_expand(q).terms()] for q in s_basis(d, ell)), Q
+            )
             inverse = linalg.invert(e)
             monos = monomial_basis(d, ell)
             for p in s_basis(d, ell):
                 image = apply_t(g_product_expand(p))
                 b = [image.coefficient(m) for m in monos]
-                x = linalg.mat_vec(inverse, b)
-                assert linalg.lu_solve(factors, enumerate(b)) == x, (d, ell, p)
-                assert linalg.lu_solve(sparse, image.terms()) == x, (d, ell, p)
+                x = [_residue(v) for v in linalg.mat_vec(inverse, b)]
+                assert _solve(factors, b) == x, (d, ell, p)
+                assert linalg.lu_solve(sparse, [(m, _residue(c)) for m, c in image.terms()], Q) == x, (d, ell, p)
 
 
 def _steps(rows):
-    a = [[Fraction(v) for v in row] for row in rows]
-    factors = linalg.lu_factor(_columns(a))
-    for j in range(len(a)):
-        b = [Fraction(int(i == j)) for i in range(len(a))]
-        assert linalg.lu_solve(factors, enumerate(b)) == linalg.mat_vec(linalg.invert(a), b)
-    order = [(r, c) for r, c, *_ in factors]
-    # modulo a prime the pivots follow the same rule
-    assert [(r, c) for r, c, *_ in linalg.lu_factor(_columns(rows), linalg.LU_PRIME)] == order
-    return order
+    factors = linalg.lu_factor(_columns(rows), Q)
+    inverse = linalg.invert([[Fraction(v) for v in row] for row in rows])
+    for j in range(len(rows)):
+        b = [int(i == j) for i in range(len(rows))]
+        assert _solve(factors, b) == [_residue(v) for v in linalg.mat_vec(inverse, b)]
+    return [(r, c) for r, c, *_ in factors]
 
 
 def test_lu_pivot_order_fill_in_and_cancellation():
@@ -63,31 +76,34 @@ def test_lu_pivot_order_fill_in_and_cancellation():
 
 def test_lu_factor_singular_and_malformed():
     with pytest.raises(SingularMatrixError):
-        linalg.lu_factor(_columns([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]))
+        linalg.lu_factor(_columns([[1, 2], [2, 4]]), Q)
     with pytest.raises(SingularMatrixError):
-        linalg.lu_factor(_columns([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(3)]]))
+        linalg.lu_factor(_columns([[0, 1], [0, 3]]), Q)
+    # independent over Q, singular modulo Q
+    with pytest.raises(SingularMatrixError):
+        linalg.lu_factor(_columns([[1, 1], [1, Q + 1]]), Q)
     # a wide matrix always has dependent columns
     with pytest.raises(SingularMatrixError):
-        linalg.lu_factor(_columns([[Fraction(1), Fraction(2)]]))
+        linalg.lu_factor(_columns([[1, 2]]), Q)
     # a nonzero on a label the matrix lacks has no solution
     with pytest.raises(ValueError):
-        linalg.lu_solve(linalg.lu_factor(_columns([[Fraction(1)]])), enumerate([Fraction(1), Fraction(1)]))
-    assert linalg.lu_solve(linalg.lu_factor([]), []) == []
+        _solve(linalg.lu_factor(_columns([[1]]), Q), [1, 1])
+    assert linalg.lu_solve(linalg.lu_factor([], Q), [], Q) == []
 
 
 def test_lu_solves_a_tall_system_and_checks_the_residual():
     # 4 x 2: rows 2 and 3 never pivot
     a = [[1, 0], [1, 1], [0, 2], [3, 0]]
-    factors = linalg.lu_factor(_columns(a))
+    factors = linalg.lu_factor(_columns(a), Q)
     assert len(factors) == 2
     x0 = [Fraction(2, 3), Fraction(-5)]
-    assert linalg.lu_solve(factors, enumerate(linalg.mat_vec(a, x0))) == x0
+    assert _solve(factors, linalg.mat_vec(a, x0)) == [_residue(v) for v in x0]
     off = linalg.mat_vec(a, x0)
     off[2] += 1
     with pytest.raises(ValueError, match="not in the column span"):
-        linalg.lu_solve(factors, enumerate(off))
+        _solve(factors, off)
     with pytest.raises(SingularMatrixError):
-        linalg.lu_factor(_columns([[1, 2], [2, 4], [0, 0]]))
+        linalg.lu_factor(_columns([[1, 2], [2, 4], [0, 0]]), Q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,28 +119,30 @@ def test_lu_solves_a_tall_system_and_checks_the_residual():
     )
 )
 def test_lu_agrees_with_dense_inverse(rows):
-    # rows is n x k with k <= n; rank and invert are the oracles
+    # rows is n x k with k <= n; rank and invert are the oracles, read modulo Q.
+    # Every minor is far below Q, so the rank modulo Q is the rank over Q
     a = [[Fraction(v) for v in row] for row in rows]
     n, k = len(a), len(a[0])
     if linalg.rank(a) < k:
         with pytest.raises(SingularMatrixError):
-            linalg.lu_factor(_columns(a))
+            linalg.lu_factor(_columns(a), Q)
         return
-    factors = linalg.lu_factor(_columns(a))
+    factors = linalg.lu_factor(_columns(a), Q)
     x0 = [Fraction(j + 1, 2) - j * j for j in range(k)]
-    assert linalg.lu_solve(factors, enumerate(linalg.mat_vec(a, x0))) == x0
+    assert _solve(factors, linalg.mat_vec(a, x0)) == [_residue(v) for v in x0]
     if n == k:
         inverse = linalg.invert(a)
         for j in range(n):
             b = [Fraction(int(i == j)) + i for i in range(n)]
-            assert linalg.lu_solve(factors, enumerate(b)) == linalg.mat_vec(inverse, b)
+            assert _solve(factors, b) == [_residue(v) for v in linalg.mat_vec(inverse, b)]
     for j in range(n):
         unit = [Fraction(int(i == j)) for i in range(n)]
         if linalg.rank([row + [u] for row, u in zip(a, unit)]) == k:
-            assert linalg.mat_vec(a, linalg.lu_solve(factors, enumerate(unit))) == unit
+            x = _solve(factors, unit)
+            assert [_residue(v) for v in linalg.mat_vec(a, x)] == [_residue(u) for u in unit]
         else:
             with pytest.raises(ValueError):
-                linalg.lu_solve(factors, enumerate(unit))
+                _solve(factors, unit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,21 +158,19 @@ def test_lu_agrees_with_dense_inverse(rows):
     ),
     st.data(),
 )
-def test_modular_lu_lifts_integer_answers_and_checks_every_row(rows, data):
-    # entries this small keep every minor far below the prime: singular modulo it only when singular over Q
-    q = linalg.LU_PRIME
+def test_lu_solves_for_every_residue_and_checks_every_row(rows, data):
     n, k = len(rows), len(rows[0])
     if linalg.rank(rows) < k:
         with pytest.raises(SingularMatrixError):
-            linalg.lu_factor(_columns(rows), q)
+            linalg.lu_factor(_columns(rows), Q)
         return
-    factors = linalg.lu_factor(_columns(rows), q)
-    x0 = data.draw(st.lists(st.integers(-(q // 2), q // 2), min_size=k, max_size=k))
-    b = linalg.mat_vec(rows, x0)
-    assert linalg.lu_solve(factors, enumerate(b), q) == x0
+    factors = linalg.lu_factor(_columns(rows), Q)
+    x0 = data.draw(st.lists(st.integers(0, Q - 1), min_size=k, max_size=k))
+    b = linalg.mat_vec(rows, x0)  # far past Q: reduced by lu_solve
+    assert linalg.lu_solve(factors, enumerate(b), Q) == x0
     # a nonzero residue on a label the matrix lacks
     with pytest.raises(ValueError):
-        linalg.lu_solve(factors, [*enumerate(b), (n, 1)], q)
+        linalg.lu_solve(factors, [*enumerate(b), (n, 1)], Q)
 
 
 def test_singular_expansion_matrix_is_a_consistency_error(monkeypatch, cold_caches):

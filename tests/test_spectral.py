@@ -81,9 +81,9 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
         finally:
             pairs.pop()
 
-    def lu_solve(factors, b, modulus=0):
+    def lu_solve(factors, b, modulus):
         assert pairs, "spectrum solved a linear system outside straighten_pair"
-        assert modulus == linalg.LU_PRIME, "a straightening left the modular solve"
+        assert modulus == 2**61 - 1, "a straightening left the first prime"
         d1, l1, d2, l2 = pairs[-1]
         solves.append((d1 + d2, l1 + l2))
         return real_solve(factors, b, modulus)
@@ -99,8 +99,8 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
     assert spectrum(12, 4).eigenvalues == (1, 3, 3, 5, 6, 7, 7, 10, 10, 10, 13, 15, 17, 19, 30)
     # one solve per distinct irregular pair, fewer than the 15 basis products
     assert 0 < solves.count((12, 4)) < 15
-    # every factorisation is modulo the prime, of the products with at most two factors
-    assert factorisations and all(args[2:] == (2, linalg.LU_PRIME) for args in factorisations)
+    # every factorisation is modulo 2^61 - 1, of the products with at most two factors
+    assert factorisations and all(args[2:] == (2, 2**61 - 1) for args in factorisations)
 
 
 def test_cold_caches_finds_the_package_caches(cold_caches):

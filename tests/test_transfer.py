@@ -198,62 +198,68 @@ def test_straighten_pair_certifies_its_answer(monkeypatch, cold_caches):
 
 
 def test_a_candidate_off_by_the_prime_fails_the_bound_and_falls_back(monkeypatch, cold_caches):
-    q, real_solve = linalg.LU_PRIME, linalg.lu_solve
+    # modulo 3 the read-back candidate solves the system modulo 3 only; the
+    # bound refuses it and the next prime, 2^61 - 1, answers
+    monkeypatch.setattr(linalg, "LU_PRIMES", (3, 2**61 - 1))
     d1, l1, d2, l2 = 5, 2, 4, 3
     expected = oracles.straighten_pair_reference(d1, l1, d2, l2)
-    moved, rational = [], []
+    solves, real_solve = [], linalg.lu_solve
 
-    def lu_solve(factors, b, modulus=0):
-        x = real_solve(factors, b, modulus)
-        if modulus:
-            x[0] += q  # still a solution modulo q
-            moved.append(x)
-        else:
-            rational.append(x)
-        return x
+    def lu_solve(factors, b, modulus):
+        solves.append((modulus, real_solve(factors, b, modulus)))
+        return solves[-1][1]
 
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     assert straighten_pair(d1, l1, d2, l2) == expected
-    assert len(moved) == len(rational) == 1
-    products, _, heights = genfun._expansion_lu(d1 + d2, l1 + l2, 2, q)
+    assert [q for q, _ in solves] == [3, 2**61 - 1]
+    candidate = [genfun._read_back(v, 3, 1) for v in solves[0][1]]
+    products, _, heights = genfun._expansion_lu(d1 + d2, l1 + l2, 2, 3)
     pair = genfun._expand_canonical(((d1, l1), (d2, l2)))
     residual = dict(pair)
-    for p, c in zip(products, moved[0]):
+    for p, c in zip(products, candidate):
         for m, f in genfun._expand_canonical(p).items():
             residual[m] = residual.get(m, 0) - c * f
-    assert not any(r % q for r in residual.values()) and any(residual.values())
-    assert sum(abs(c) * h for c, h in zip(moved[0], heights)) + max(map(abs, pair.values())) >= q
+    assert not any(r % 3 for r in residual.values()) and any(residual.values())
+    assert sum(abs(c) * h for c, h in zip(candidate, heights)) + max(map(abs, pair.values())) >= 3
 
 
 @pytest.mark.parametrize("prime", [2**13 - 1, 3])
 def test_straightening_modulo_a_small_prime_still_equals_the_rational_solve(prime, monkeypatch, cold_caches):
-    # every bound sum_j |x_j| h_j + max_m |b_m| at d1 + d2 <= 12 lies in [2, 6920]:
-    # below 8191, so those answers stay modular; modulo 3 most need the fallback
+    # every pair with d1 + d2 <= 12 is solved modulo the small prime first:
+    # 190 of the 826 answers fail its bound modulo 8191, 751 modulo 3, and
+    # those are solved again modulo 2^61 - 1
     pairs = list(_irregular_pairs(12))
     expected = [oracles.straighten_pair_reference(*pair) for pair in pairs]
     routes, real_solve = [], linalg.lu_solve
 
-    def lu_solve(factors, b, modulus=0):
+    def lu_solve(factors, b, modulus):
         routes.append(modulus)
         return real_solve(factors, b, modulus)
 
-    monkeypatch.setattr(linalg, "LU_PRIME", prime)
+    monkeypatch.setattr(linalg, "LU_PRIMES", (prime, 2**61 - 1))
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     for pair, comb in zip(pairs, expected):
         assert straighten_pair(*pair) == comb, pair
     assert routes.count(prime) == len(pairs)
-    assert (0 in routes) == (prime == 3)
+    assert routes.count(2**61 - 1) == (751 if prime == 3 else 190)
 
 
-def test_columns_singular_modulo_the_prime_are_solved_over_q(monkeypatch, cold_caches):
+def test_columns_singular_modulo_a_prime_are_solved_modulo_the_next(monkeypatch, cold_caches):
     # the scaled columns of g(4,2) and g(2,1)^2 are (1, 1) and (0, 2) on x1x3, x2^2:
     # dependent modulo 2, independent over Q, where g(3,1)g(1,1) = g(4,2) - g(2,1)^2 / 2
-    monkeypatch.setattr(linalg, "LU_PRIME", 2)
+    monkeypatch.setattr(linalg, "LU_PRIMES", (2, 2**61 - 1))
     monkeypatch.setattr(genfun, "admissible_sequences", lambda d, ell: (((4, 2),), ((2, 1), (2, 1))))
     with pytest.raises(ConsistencyError, match="singular"):
         genfun._expansion_lu(4, 2, 2, 2)
     b = genfun._expand_canonical(((3, 1), (1, 1)))
-    assert genfun._solve(4, 2, 2, b) == ((((4, 2),), ((2, 1), (2, 1))), [1, Fraction(-1, 2)])
+    try:
+        assert genfun._solve(4, 2, 2, b) == ((((4, 2),), ((2, 1), (2, 1))), [1, Fraction(-1, 2)])
+    finally:
+        genfun._expansion_lu.cache_clear()  # drop the factorisation of the patched family
+    # singular modulo every prime of the table
+    monkeypatch.setattr(linalg, "LU_PRIMES", (2,))
+    with pytest.raises(ConsistencyError, match="singular"):
+        genfun._solve(4, 2, 2, b)
 
 
 def test_straighten_product_round_trip():
