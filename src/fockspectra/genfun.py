@@ -10,7 +10,8 @@ with g(0, 0) = 1 and g(d, l) = 0 unless d >= l >= 1.  Products of these
 generators indexed by admissible sequences form a basis of each bigraded
 component.  Expanded products live in one store, _expand_canonical, keyed by
 the canonical factor sequence, in scaled integer coordinates
-F_m = c_m * mono_norm_sq(m); a generator is its one-factor product, and g_poly
+F_m = c_m * mono_norm_sq(m); a generator is its one-factor product, a longer
+one (up to 64 factors) its stored prefix times its last generator, and g_poly
 returns a fresh Fraction polynomial, not the stored object.  Column j of the
 expansion matrix E holds the monomial coefficients of the j-th basis product.
 _expansion_lu keeps, per component, bound on the factor count and prime, the
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb as binomial, isqrt, lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import linalg
 from .errors import ConsistencyError, SingularMatrixError
@@ -93,8 +94,11 @@ def _expand_canonical(product: GProduct) -> dict:
     if len(product) < 2:  # a generator is all ones; the empty product is g(0,0) = 1
         (d, ell), = product or ((0, 0),)
         return dict.fromkeys(monomial_basis(d, ell), 1)
-    out = _expand_canonical(product[:1])
-    for factor in product[1:]:
+    # the stored prefix times the last factor, the same left fold; past 64 factors, so that
+    # no chain of missing prefixes recurses deeper, the fold from the first, storing no prefix
+    head = product[:-1] if len(product) <= 64 else product[:1]
+    out = _expand_canonical(head)
+    for factor in product[len(head) :]:
         out = collect(times(out, _expand_canonical((factor,))))
     return out
 
@@ -129,16 +133,21 @@ def elementary_symmetric(k: int) -> Polynomial:
 def spanning_products(d: int, ell: int) -> tuple[GProduct, ...]:
     """Every canonical product of nonzero generators with total bidegree
     (d, ell), admissible or not; emitted in basis order, by a walk that takes
-    the nonzero pairs in canonical order and never steps back in it."""
+    the nonzero pairs in canonical order and never steps back in it, listing
+    the tails from each (first pair, remaining bidegree) once."""
     pairs = [(d1, l1) for d1 in range(d, 0, -1) for l1 in range(1, min(d1, ell) + 1)]
+    tails: dict[tuple[int, int, int], list[GProduct]] = {}
 
-    def extend(start: int, rem_d: int, rem_l: int) -> Iterator[GProduct]:
-        if rem_d == rem_l == 0:
-            yield ()
+    def extend(start: int, rem_d: int, rem_l: int) -> list[GProduct]:
+        out: list[GProduct] = [()] if rem_d == rem_l == 0 else []
         for k in range(start, len(pairs)):
             d1, l1 = pairs[k]
             if d1 <= rem_d and l1 <= rem_l:
-                yield from (((d1, l1),) + rest for rest in extend(k, rem_d - d1, rem_l - l1))
+                key = (k, rem_d - d1, rem_l - l1)
+                if key not in tails:
+                    tails[key] = extend(*key)
+                out += [((d1, l1),) + rest for rest in tails[key]]
+        return out
 
     return tuple(extend(0, d, ell))
 
@@ -147,7 +156,7 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
     """Column j = coordinates of the j-th basis product in the monomial basis."""
     basis = admissible_sequences(d, ell)
     monos = monomial_basis(d, ell)
-    cols = [_expand_canonical.__wrapped__(p) for p in basis]  # uncached, as in _expansion_lu
+    cols = [_expand_canonical.__wrapped__(p) for p in basis]  # not stored, as in _expansion_lu
     return tuple(tuple(Fraction(f.get(m, 0), mono_norm_sq(m)) for f in cols) for m in monos)
 
 
@@ -162,7 +171,7 @@ def _expansion_lu(d: int, ell: int, max_factors: int, q: int) -> tuple[tuple, li
 
     def columns():
         for p in products:
-            column = _expand_canonical.__wrapped__(p)  # uncached: these scaled expansions only feed lu_factor
+            column = _expand_canonical.__wrapped__(p)  # not stored (its prefix is): it only feeds lu_factor
             heights.append(max(map(abs, column.values())))
             yield column.items()
 

@@ -37,7 +37,7 @@ from .errors import ConsistencyError
 from .genfun import GProduct, expand_combination
 from .partitions import admissible_sequences
 from .poly import Monomial, Polynomial, collect, mono_norm_sq, monomial_basis
-from .transfer import _twice_t_structural, apply_t, straighten_product
+from .transfer import _twice_t_monomial, _twice_t_structural, straighten_product
 
 BasisLabel = Union[Monomial, GProduct]
 
@@ -106,8 +106,8 @@ def sequence_eigenvalue(sequence: GProduct) -> int:
 def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[Fraction, ...], ...]:
     if basis == "monomial":
         monos = monomial_basis(d, ell)
-        images = [apply_t(Polynomial({m: 1})) for m in monos]
-        return tuple(tuple(f.coefficient(m) for f in images) for m in monos)
+        images = [_twice_t_monomial(m) for m in monos]  # 2T, in ints; halved once below
+        return tuple(tuple(Fraction(f.get(r, 0), 2) for f in images) for r in monos)
     if basis == "gbasis":
         products = s_basis(d, ell)
         index = {p: i for i, p in enumerate(products)}

@@ -4,21 +4,25 @@
 
 in two realizations: directly on polynomials, and through its closed-form action
 on products of the generators g(d, l), which validates only its input and builds
-only the terms whose generators are nonzero, each sorted straight into canonical
-order (genfun.sorted_product).  Each realization sums its terms through
-poly.collect, the closed form in integers, as 2T.  Also the straightening of
-irregular two-factor products into regular ones, by genfun's one solve, and
-of any product into the basis of admissible products, both in ints where the
-pair coefficients are ints (straighten_pair returns them as Fractions), and
-the alternating product identity used to cross-check that straightening
-exists, both on genfun's scaled expansions.
+only the terms whose generators are nonzero, each put straight into canonical
+order.  Both count each distinct term once and sum through poly.collect, in
+integers, as 2T: on a monomial, each unordered pair of variables and each
+unordered split of their sum; on a product, each ordered pair of factor kinds.
+Also the straightening of irregular two-factor products into regular ones, by
+genfun's one solve, and of any product into the basis of admissible products,
+both in ints where the pair coefficients are ints (straighten_pair returns
+them as Fractions), and the alternating product identity used to
+cross-check that straightening exists, both on genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, repeat
 from math import prod
 from typing import Iterable
 
@@ -26,41 +30,34 @@ from . import genfun
 from .errors import ConsistencyError
 from .genfun import GCombination, GIndex, GProduct, g_value_is_zero, nonzero_factors, sorted_product
 from .partitions import is_regular_pair
-from .poly import Polynomial, collect
+from .poly import Monomial, Polynomial, collect
 
 
 def apply_t(f: Polynomial) -> Polynomial:
-    """Apply T at the monomial level.
+    """Apply T at the monomial level: c * 2T(m) over the terms c*m of f, from
+    _twice_t_monomial, summed by one collect and halved once."""
+    twice = collect((r, c * k) for m, c in f._terms.items() for r, k in _twice_t_monomial(m).items())
+    return Polynomial._of({r: c / 2 for r, c in twice.items()})
 
-    Each ordered pair (p, q) of variables of a term c*m (p = q allowed) gives
-    c * a_p * (a_q - [p = q]) / 2 to every m x_a x_b / (x_p x_q) with
-    a + b = p + q, where a_k is the exponent of x_k in m; one collect sums them.
-    """
 
-    def images():
-        for mono, coeff in f._terms.items():
-            exps = dict(mono)
-            for p, ap in exps.items():
-                for q, aq in exps.items():
-                    if p == q:
-                        if ap < 2:
-                            continue
-                        aq -= 1
-                    scale = coeff * (ap * aq) / 2
-                    lowered = dict(exps)
-                    for v in (p, q):
-                        if lowered[v] == 1:
-                            del lowered[v]
-                        else:
-                            lowered[v] -= 1
-                    n = p + q
-                    for a in range(1, n):
-                        raised = dict(lowered)
-                        raised[a] = raised.get(a, 0) + 1
-                        raised[n - a] = raised.get(n - a, 0) + 1
-                        yield tuple(sorted(raised.items())), scale
-
-    return Polynomial._of(collect(images()))
+def _twice_t_monomial(m: Monomial) -> dict[Monomial, int]:
+    """2T of one monomial as {monomial: int}.  Each unordered pair {p, q} of its
+    variables acts once, weighted 2 a_p a_q (a_p (a_p - 1) when p = q) for the
+    exponents a_k of m, and sends m / (x_p x_q) to each unordered split
+    x_a x_b, a + b = p + q, once: doubled when a != b."""
+    terms = []
+    for i, (p, ap) in enumerate(m):
+        for q, aq in m[i:]:
+            w = ap * (ap - 1) if p == q else 2 * ap * aq
+            if not w:
+                continue
+            lowered, n = collect([*m, (p, -1), (q, -1)]), p + q  # m / (x_p x_q)
+            for a in range(1, n // 2 + 1):
+                raised = dict(lowered)
+                raised[a] = raised.get(a, 0) + 1
+                raised[n - a] = raised.get(n - a, 0) + 1
+                terms.append((tuple(sorted(raised.items())), w if 2 * a == n else 2 * w))
+    return collect(terms)
 
 
 def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
@@ -84,19 +81,41 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
 
 
 def _twice_t_structural(factors: Iterable[GIndex]) -> dict[GProduct, int]:
-    """2T of a product as {canonical product: int}; only the input is validated, each term sorted once."""
+    """2T of a product as {canonical product: int}; only the input is validated.
+    Each ordered pair of factor kinds (s, t) acts once, weighted by the number
+    of positions i < j holding s then t in the order given (canonical input
+    with distinct factors: each pair of places once), and each term gets its
+    new factors by bisection into the canonical rest of the product."""
     work = nonzero_factors(factors)
-    terms = [(sorted_product(work), sum((ell - 1) * (2 * d - ell) for d, ell in work))]
-    for i, (di, li) in enumerate(work):
-        for j in range(i + 1, len(work)):
-            dj, lj = work[j]
-            others = work[:i] + work[i + 1 : j] + work[j + 1 :]
-            down, up = -2 * lj * (lj + 1), 2 * li * (li + 1)
-            for p in range(dj - lj if li > 1 else 0):
-                terms.append((sorted_product(others + [(di + p, li - 1), (dj - p, lj + 1)]), down))
-            for p in range(1 if lj > 1 else dj, dj - lj + 2):  # p = dj only when lj = 1
-                pair = [(di + p, li + 1), (dj - p, lj - 1)] if p < dj else [(di + dj, li + 1)]
-                terms.append((sorted_product(others + pair), up))
+    canon = sorted_product(work)
+    big = 1 + sum(ell for _, ell in work)  # above every length: ell - big * d sorts as pair_sort_key
+    keys = [ell - big * d for d, ell in canon]
+    terms = [(canon, sum((ell - 1) * (2 * d - ell) for d, ell in work))]
+    append = terms.append
+    distinct = canon == tuple(work) and len(set(canon)) == len(canon)  # places i < j, else kinds by first place
+    places = combinations(range(len(canon)) if distinct else [canon.index(f) for f in work], 2)
+    for (i, j), count in zip(places, repeat(1)) if distinct else Counter(places).items():
+        (di, li), (dj, lj) = canon[i], canon[j]
+        i, j = (i, i + 1) if i == j else (i, j) if i < j else (j, i)
+        rest, rest_keys = canon[:i] + canon[i + 1 : j] + canon[j + 1 :], keys[:i] + keys[i + 1 : j] + keys[j + 1 :]
+        down, up = -2 * lj * (lj + 1) * count, 2 * li * (li + 1) * count
+        for p in range(dj - lj if li > 1 else 0):
+            a, b = (di + p, li - 1), (dj - p, lj + 1)
+            ka, kb = li - 1 - big * (di + p), lj + 1 - big * (dj - p)
+            if kb < ka:
+                a, b, ka, kb = b, a, kb, ka
+            x, y = bisect(rest_keys, ka), bisect(rest_keys, kb)
+            append((rest[:x] + (a,) + rest[x:y] + (b,) + rest[y:], down))
+        for p in range(1, dj - lj + 2 if lj > 1 else 1):
+            a, b = (di + p, li + 1), (dj - p, lj - 1)
+            ka, kb = li + 1 - big * (di + p), lj - 1 - big * (dj - p)
+            if kb < ka:
+                a, b, ka, kb = b, a, kb, ka
+            x, y = bisect(rest_keys, ka), bisect(rest_keys, kb)
+            append((rest[:x] + (a,) + rest[x:y] + (b,) + rest[y:], up))
+        if lj == 1:  # p = d_j merges the pair into the one factor (d_i + d_j, l_i + 1)
+            x = bisect(rest_keys, li + 1 - big * (di + dj))
+            append((rest[:x] + ((di + dj, li + 1),) + rest[x:], up))
     return collect(terms)
 
 

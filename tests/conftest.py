@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import sys
+from typing import Iterator
 
 import pytest
 
@@ -19,9 +20,12 @@ def package_caches() -> list:
 
 
 @pytest.fixture
-def cold_caches() -> list:
-    """Clears every cache of the package before the test; returns the caches."""
+def cold_caches() -> Iterator[list]:
+    """Clears every cache of the package before the test and again after it,
+    so that nothing a test patched in stays cached; yields the caches."""
     caches = package_caches()
     for cache in caches:
         cache.cache_clear()
-    return caches
+    yield caches
+    for cache in caches:
+        cache.cache_clear()

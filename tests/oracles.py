@@ -2,7 +2,8 @@
 
 These deliberately take different routes than the library: truncated series
 exponentiation instead of the closed multiplicity formula, an explicit
-sum-over-derivative-pairs operator instead of the per-monomial loop,
+sum-over-derivative-pairs operator instead of the per-monomial loop, one
+pair of factor positions at a time for the closed form on products,
 Faddeev-LeVerrier traces and Leibniz permanent-style determinants instead of
 Hessenberg reduction for characteristic polynomials, Newton's recurrence
 for the complete symmetric functions, a Fraction fold of Polynomial products
@@ -40,6 +41,8 @@ from fockspectra import (
     t_matrix,
     x,
 )
+from fockspectra.genfun import nonzero_factors, sorted_product
+from fockspectra.poly import collect
 
 # --- truncated power series with Polynomial coefficients (index = z-degree) --
 
@@ -165,6 +168,25 @@ def apply_t_reference(f: Polynomial) -> Polynomial:
         if not dd.is_zero():
             out = out + xx * dd
     return out / 2
+
+
+def twice_t_structural_reference(factors) -> dict:
+    """2T of a product of generators by its closed form, one pair of
+    positions i < j at a time in the order given, each term sorted into
+    canonical order on its own: {canonical product: int}."""
+    work = nonzero_factors(factors)
+    terms = [(sorted_product(work), sum((ell - 1) * (2 * d - ell) for d, ell in work))]
+    for i, (di, li) in enumerate(work):
+        for j in range(i + 1, len(work)):
+            dj, lj = work[j]
+            others = work[:i] + work[i + 1 : j] + work[j + 1 :]
+            down, up = -2 * lj * (lj + 1), 2 * li * (li + 1)
+            for p in range(dj - lj if li > 1 else 0):
+                terms.append((sorted_product(others + [(di + p, li - 1), (dj - p, lj + 1)]), down))
+            for p in range(1 if lj > 1 else dj, dj - lj + 2):  # p = dj only when lj = 1
+                pair = [(di + p, li + 1), (dj - p, lj - 1)] if p < dj else [(di + dj, li + 1)]
+                terms.append((sorted_product(others + pair), up))
+    return collect(terms)
 
 
 @cache

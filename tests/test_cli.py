@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fockspectra
-from fockspectra import Polynomial, cli, g_poly, genfun, monomial, monomial_basis, spectral, spectrum, transfer
+from fockspectra import cli, g_poly, genfun, monomial, monomial_basis, spectral, spectrum, transfer
 from fockspectra.errors import ConsistencyError
 
 
@@ -186,13 +186,15 @@ def test_verify_catches_a_wrong_structural_coefficient(capsys, monkeypatch):
 
 def test_verify_catches_a_wrong_image_of_one_monomial(capsys, monkeypatch, cold_caches):
     m = monomial({1: 1, 2: 2})  # x1*x2^2, on the component (5,3)
-    real = spectral.apply_t  # the binding that builds the monomial-basis matrix
+    real = spectral._twice_t_monomial  # the binding that builds the monomial-basis matrix
 
-    def perturbed(f):
-        image = real(f)
-        return image + Polynomial({m: 1}) if f == Polynomial({m: 1}) else image
+    def perturbed(mono):
+        image = real(mono)
+        if mono == m:
+            image[m] = image.get(m, 0) + 2  # 2T(m) + 2m: T(m) + m
+        return image
 
-    monkeypatch.setattr(spectral, "apply_t", perturbed)
+    monkeypatch.setattr(spectral, "_twice_t_monomial", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--max-d", "6", "--json")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
@@ -205,13 +207,15 @@ def test_verify_catches_a_wrong_image_of_one_monomial(capsys, monkeypatch, cold_
 def test_verify_keeps_a_fractional_monomial_image_exact(capsys, monkeypatch, cold_caches):
     # T(m) + m/3 puts 2/3 into the doubled scaled image of m: no integer stands in for it
     m = monomial({1: 1, 2: 2})  # x1*x2^2, on the component (5,3)
-    real = spectral.apply_t
+    real = spectral._twice_t_monomial
 
-    def perturbed(f):
-        image = real(f)
-        return image + Polynomial({m: Fraction(1, 3)}) if f == Polynomial({m: 1}) else image
+    def perturbed(mono):
+        image = real(mono)
+        if mono == m:
+            image[m] = image.get(m, 0) + Fraction(2, 3)  # 2T(m) + 2m/3
+        return image
 
-    monkeypatch.setattr(spectral, "apply_t", perturbed)
+    monkeypatch.setattr(spectral, "_twice_t_monomial", perturbed)
     code, out, err = run_cli(capsys, "verify", "--max-d", "6", "--json")
     assert (code, err) == (1, "")
     structural = {c["name"]: c for c in json.loads(out)["result"]["checks"]}["structural action agreement"]
@@ -237,27 +241,36 @@ def test_verify_canonicalises_each_product_once(monkeypatch, cold_caches):
         monkeypatch.setattr(genfun, name, wrapper)
         monkeypatch.setattr(transfer, name, wrapper)
     assert all(c["status"] == "pass" for c in cli._verify_checks(8))
-    # one sort per key (3356 when the structural check canonicalised each term of T again
-    # before reading the store); factors are validated only where a product comes from
-    # outside (2305 when each term of T was validated again)
-    assert calls == {"sorted_product": 1898, "nonzero_factors": 525}
+    # one sort per product taken in, where its factors are validated: the terms of T are
+    # built canonical by bisection (1898 sorts when each term was sorted, 3356 when the
+    # structural check canonicalised each term again before reading the store; 2305
+    # validations when each term of T was validated again)
+    assert calls == {"sorted_product": 525, "nonzero_factors": 525}
 
 
 def test_verify_applies_t_to_each_monomial_once(monkeypatch, cold_caches):
-    calls, real = [], transfer.apply_t
+    calls = {"apply_t": [], "matrix": [], "in apply_t": []}
 
-    def counted(f):
-        calls.append(f)
-        return real(f)
+    def counted(name, real):
+        def count(arg):
+            calls[name].append(arg)
+            return real(arg)
 
-    monkeypatch.setattr(transfer, "apply_t", counted)
-    monkeypatch.setattr(spectral, "apply_t", counted)
+        return count
+
+    monkeypatch.setattr(transfer, "apply_t", counted("apply_t", transfer.apply_t))
+    monkeypatch.setattr(spectral, "_twice_t_monomial", counted("matrix", spectral._twice_t_monomial))
+    monkeypatch.setattr(transfer, "_twice_t_monomial", counted("in apply_t", transfer._twice_t_monomial))
     assert all(c["status"] == "pass" for c in cli._verify_checks(8))
     components = [(d, ell) for d in range(1, 9) for ell in range(1, d + 1)]
-    monomials = [Polynomial({m: 1}) for d, ell in components for m in monomial_basis(d, ell)]
+    monomials = [m for d, ell in components for m in monomial_basis(d, ell)]
     generators = [g_poly(d, ell) for d, ell in components]  # the dominant-eigenvalue check
     assert (len(monomials), len(generators)) == (66, 36)
-    assert sorted(map(repr, calls)) == sorted(map(repr, monomials + generators))
+    # the monomial-basis matrices run the integer core once per monomial
+    assert sorted(calls["matrix"]) == sorted(monomials)
+    # apply_t runs once per generator, and so once per monomial: g(d, ell) holds every monomial of (d, ell)
+    assert sorted(map(repr, calls["apply_t"])) == sorted(map(repr, generators))
+    assert sorted(calls["in apply_t"]) == sorted(monomials)
 
 
 def test_verify_guard_names_the_largest_component_of_the_sweep(capsys):

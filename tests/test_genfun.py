@@ -110,6 +110,14 @@ def test_product_expansion_examples():
     assert g_product_expand([]) == 1
 
 
+def test_long_products_expand_without_deep_recursion(cold_caches):
+    # a product of up to 64 factors multiplies its stored prefix, a longer one folds from its first factor
+    assert g_product_expand([(1, 1)] * 3000) == x(1) ** 3000
+    for n in (64, 65):
+        product = [(2, 1), (1, 1)] * (n // 2) + [(1, 1)] * (n % 2)
+        assert g_product_expand(product) == oracles.expand_product_reference(canonical_product(product)), n
+
+
 def test_canonical_product():
     assert canonical_product([(2, 2), (3, 1), (0, 0)]) == ((3, 1), (2, 2))
     assert canonical_product([(4, 2), (4, 1)]) == ((4, 1), (4, 2))

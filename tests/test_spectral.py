@@ -92,7 +92,7 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
         factorisations.append(args)
         return real_lu(*args)
 
-    monkeypatch.setattr(spectral, "apply_t", monomial_route)
+    monkeypatch.setattr(spectral, "_twice_t_monomial", monomial_route)
     monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     monkeypatch.setattr(genfun, "_expansion_lu", expansion_lu)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,18 @@ def test_matches_reference_operator_on_basis_monomials():
                 f = Polynomial({m: 1})
                 assert apply_t(f) == oracles.apply_t_reference(f), m
 
+
+
+def test_monomial_core_halved_is_the_reference_operator():
+    count = 0
+    for d in range(1, 13):
+        for ell in range(1, d + 1):
+            for m in monomial_basis(d, ell):
+                twice = transfer._twice_t_monomial(m)
+                assert all(type(k) is int for k in twice.values()), m
+                assert Polynomial(twice) / 2 == oracles.apply_t_reference(Polynomial({m: 1})), m
+                count += 1
+    assert count == 271
 
 @settings(max_examples=40)
 @given(oracles.polynomials())
@@ -140,6 +153,21 @@ def test_structural_is_half_the_integer_core():
                     assert apply_t_structural(order) == halved, order
 
 
+def test_structural_core_equals_the_index_pair_reference():
+    # canonical order, reversed, and shuffled with the identity factor g(0,0) put in
+    rng = random.Random(25)
+    count = 0
+    for d in range(1, 13):
+        for ell in range(1, d + 1):
+            for product in spanning_products(d, ell):
+                shuffled = [*product, (0, 0)]
+                rng.shuffle(shuffled)
+                for order in (product, product[::-1], shuffled):
+                    assert transfer._twice_t_structural(order) == oracles.twice_t_structural_reference(order), order
+                count += 1
+    assert count == 3461
+
+
 def test_straighten_examples():
     assert straighten_pair(2, 1, 2, 1) == {((4, 2),): 2, ((3, 1), (1, 1)): -2}
     assert straighten_pair(2, 1, 1, 1) == {((3, 2),): 1}
@@ -190,11 +218,8 @@ def test_straighten_pair_certifies_its_answer(monkeypatch, cold_caches):
     monkeypatch.setattr(
         genfun, "admissible_sequences", lambda d, ell: tuple(p for p in real(d, ell) if p != ((3, 1), (1, 1)))
     )
-    try:
-        with pytest.raises(ConsistencyError, match=r"straightening g\(2,1\)g\(2,1\)"):
-            straighten_pair(2, 1, 2, 1)
-    finally:
-        genfun._expansion_lu.cache_clear()  # drop the factorisation of the patched family
+    with pytest.raises(ConsistencyError, match=r"straightening g\(2,1\)g\(2,1\)"):
+        straighten_pair(2, 1, 2, 1)
 
 
 def test_a_candidate_off_by_the_prime_fails_the_bound_and_falls_back(monkeypatch, cold_caches):
@@ -252,10 +277,7 @@ def test_columns_singular_modulo_a_prime_are_solved_modulo_the_next(monkeypatch,
     with pytest.raises(ConsistencyError, match="singular"):
         genfun._expansion_lu(4, 2, 2, 2)
     b = genfun._expand_canonical(((3, 1), (1, 1)))
-    try:
-        assert genfun._solve(4, 2, 2, b) == ((((4, 2),), ((2, 1), (2, 1))), [1, Fraction(-1, 2)])
-    finally:
-        genfun._expansion_lu.cache_clear()  # drop the factorisation of the patched family
+    assert genfun._solve(4, 2, 2, b) == ((((4, 2),), ((2, 1), (2, 1))), [1, Fraction(-1, 2)])
     # singular modulo every prime of the table
     monkeypatch.setattr(linalg, "LU_PRIMES", (2,))
     with pytest.raises(ConsistencyError, match="singular"):
