@@ -291,14 +291,16 @@ def _verify_checks(max_d: int) -> list[dict]:
     def zero_law(d, ell):
         return (d, ell) in eigenvalues and (0 in eigenvalues[d, ell]) == (d >= ell * ell)
 
+    def exact_quotient(a, b):  # an int when b divides a
+        return Fraction(a, b) if a % b else a // b
+
     def structural(p, d, ell):  # sum of F_m K[., m] over p's terms, against sum of 2 a_q F_q over 2T(p)
-        if (d, ell) not in columns:  # K[r, m] = 2 N(r) M[r, m] / N(m), N = mono_norm_sq; never rounded
-            matrix = spectral.t_matrix(d, ell, basis="monomial")
-            monos, norms = matrix.row_labels, [mono_norm_sq(m) for m in matrix.row_labels]
-            scaled = [[v * 2 * n / nm for v, nm in zip(row, norms)] for n, row in zip(norms, matrix.entries)]
+        if (d, ell) not in columns:  # K[r, m] = N(r) 2M[r, m] / N(m), N = mono_norm_sq; never rounded
+            monos = monomial_basis(d, ell)
+            norms = [mono_norm_sq(m) for m in monos]
             columns[d, ell] = {
-                m: [(r, k if k.denominator > 1 else int(k)) for r, k in zip(monos, col) if k]
-                for m, col in zip(monos, zip(*scaled))
+                m: [(monos[i], exact_quotient(norms[i] * c, nm)) for i, c in column]
+                for m, nm, column in zip(monos, norms, spectral._t_matrix_entries(d, ell, "monomial"))
             }
         image_of = columns[d, ell]
         direct = collect((r, f * k) for m, f in genfun._expand_canonical(p).items() for r, k in image_of[m])

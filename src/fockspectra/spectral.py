@@ -4,14 +4,15 @@ eigenfunctions, and the independent cross-checks.
 The product basis is ordered descending ("larger degree first, then smaller
 length", extended lexicographically), so the action of T sends each basis
 element to itself plus strictly earlier elements and its matrix comes out
-upper triangular; the diagonal carries the spectrum.  That matrix is built
-without expanding products into monomials: each column is the closed-form
-action of T on a basis product, as 2T in ints, with every inadmissible product
-in it straightened into the basis (transfer.straighten_product) in ints, and
-halved once into Fractions.  Its only linear solves are the pair
+upper triangular; the diagonal carries the spectrum.  Both matrices of T
+are held as 2T in ints, in sparse columns, and halved into Fractions only at
+the public edge.  The product-basis one is built without expanding products
+into monomials: each column is the closed form of 2T on a basis product, each
+inadmissible product in it straightened into the basis
+(transfer.straighten_product) in ints.  Its only linear solves are the pair
 straightenings, each modulo a prime on the products with at most two factors
-of an irregular pair's component.  Eigenvalues are computed from the
-index sequences by
+of an irregular pair's component.  Eigenvalues are computed from the index
+sequences by
 
     lambda = 1/2 * sum_i (l_i - 1)(2 d_i - l_i)
 
@@ -103,46 +104,42 @@ def sequence_eigenvalue(sequence: GProduct) -> int:
 
 
 @lru_cache(maxsize=None)  # read again by t_matrix, spectrum, eigenbasis and the verify checks
-def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[Fraction, ...], ...]:
+def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """2T on the (d, ell) component in ints, as sparse columns: column j holds a
+    (row index, value) pair per nonzero entry of 2T of the j-th basis element, rows ascending."""
     if basis == "monomial":
-        monos = monomial_basis(d, ell)
-        images = [_twice_t_monomial(m) for m in monos]  # 2T, in ints; halved once below
-        return tuple(tuple(Fraction(f.get(r, 0), 2) for f in images) for r in monos)
-    if basis == "gbasis":
-        products = s_basis(d, ell)
-        index = {p: i for i, p in enumerate(products)}
-        rows = [[Fraction(0)] * len(products) for _ in products]
-        memo: dict[GProduct, dict] = {}
-        for j, p in enumerate(products):
-            image = _twice_t_structural(p).items()  # 2T, in ints; halved once below
-            column = collect((r, c * cr) for q, c in image for r, cr in straighten_product(q, memo).items())
-            for r, c in column.items():
-                rows[index[r]][j] = Fraction(c, 2)
-        return tuple(tuple(row) for row in rows)
-    raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
+        labels = monomial_basis(d, ell)
+        images = (_twice_t_monomial(m) for m in labels)
+    elif basis == "gbasis":
+        labels, memo = s_basis(d, ell), {}
+        images = (collect((r, c * cr) for q, c in _twice_t_structural(p).items()
+                          for r, cr in straighten_product(q, memo).items()) for p in labels)
+    else:
+        raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
+    index = {label: i for i, label in enumerate(labels)}
+    return tuple(tuple(sorted((index[r], c) for r, c in image.items() if c)) for image in images)
 
 
 def t_matrix(d: int, ell: int, basis: str = "gbasis") -> ExactMatrix:
     """Matrix of T on the (d, ell) component; column j holds the coordinates
     of T applied to the j-th basis element."""
     _require_component(d, ell)
-    entries = _t_matrix_entries(d, ell, basis)
-    labels: tuple[BasisLabel, ...]
-    labels = monomial_basis(d, ell) if basis == "monomial" else s_basis(d, ell)
-    return ExactMatrix(entries=entries, row_labels=labels, col_labels=labels)
+    columns = _t_matrix_entries(d, ell, basis)
+    rows = [[Fraction(0)] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, c in column:
+            rows[i][j] = Fraction(c, 2)
+    labels: tuple[BasisLabel, ...] = monomial_basis(d, ell) if basis == "monomial" else s_basis(d, ell)
+    return ExactMatrix(entries=tuple(map(tuple, rows)), row_labels=labels, col_labels=labels)
 
 
-def verify_triangular(d: int, ell: int) -> tuple[bool, tuple[int, ...]]:
+def verify_triangular(d: int, ell: int) -> tuple[bool, tuple[Union[int, Fraction], ...]]:
     """Check the product-basis matrix is upper triangular; return its diagonal."""
     _require_component(d, ell)
-    entries = _t_matrix_entries(d, ell, "gbasis")
-    n = len(entries)
-    ok = all(not entries[i][j] for i in range(n) for j in range(i))
-    diag = []
-    for i in range(n):
-        v = entries[i][i]
-        diag.append(int(v) if v.denominator == 1 else v)
-    return ok, tuple(diag)
+    columns = _t_matrix_entries(d, ell, "gbasis")
+    ok = all(i <= j for j, column in enumerate(columns) for i, _ in column)
+    halves = (Fraction(next((c for i, c in column if i == j), 0), 2) for j, column in enumerate(columns))
+    return ok, tuple(v.numerator if v.denominator == 1 else v for v in halves)
 
 
 def dominant_eigenvalue(d: int, ell: int) -> int:
@@ -205,24 +202,25 @@ def eigenbasis(d: int, ell: int) -> tuple[Eigenfunction, ...]:
 
     The vector for a position k with U_kk = lambda is 1 at k and 0 at the
     other lambda-positions and after k; each earlier entry i is
-    sum_{i<j<=k} U_ij v_j / (lambda - U_ii).  These are the reduced kernel
-    vectors of U - lambda I.  A nonzero residual on a row with U_ii = lambda
-    means lambda is defective and raises ConsistencyError.
-    """
+    sum_{i<j<=k} 2U_ij v_j / 2(lambda - U_ii), summed column by column from
+    the int columns of 2U.  These are the reduced kernel vectors of
+    U - lambda I.  A nonzero sum on a row with U_ii = lambda means lambda is
+    defective and raises ConsistencyError."""
     basis, values, order = _certified_spectrum(d, ell)
-    u = _t_matrix_entries(d, ell, "gbasis")
+    columns = _t_matrix_entries(d, ell, "gbasis")
     out = []
     for k in order:
         lam = values[k]
         vec = [Fraction(0)] * len(basis)
         vec[k] = Fraction(1)
-        for i in reversed(range(k)):
-            row = u[i]
-            s = sum((row[j] * vec[j] for j in range(i + 1, k + 1) if row[j] and vec[j]), Fraction(0))
-            if values[i] != lam:
-                vec[i] = s / (lam - values[i])
-            elif s:
+        acc = [Fraction(0)] * (k + 1)  # acc[i]: sum of 2U_ij v_j over the positions j done so far
+        for j in reversed(range(k + 1)):
+            if values[j] != lam:
+                vec[j] = acc[j] / (2 * (lam - values[j]))
+            elif acc[j]:
                 raise ConsistencyError(f"eigenvalue {lam} on ({d},{ell}) is defective")
+            for i, c in columns[j] if vec[j] else ():  # rows i <= j; acc[j] is read already
+                acc[i] += c * vec[j]
         poly = expand_combination({p: c for c, p in zip(vec, basis) if c})
         out.append(Eigenfunction(lam, tuple(vec), poly))
     return tuple(out)
@@ -262,25 +260,22 @@ def orthogonal_eigenbasis(d: int, ell: int) -> tuple[OrthogonalEigenfunction, ..
 
 
 def verify_self_adjoint(d: int, ell: int) -> bool:
-    """Check M^T G = G M exactly, with M the monomial-basis matrix of T and
-    G the diagonal Gram matrix of the monomial basis."""
+    """Check M^T G = G M exactly, M the monomial-basis matrix of T and G the diagonal Gram
+    matrix N = mono_norm_sq: N_i 2M_ij = N_j 2M_ji over the nonzero entries of either side."""
     _require_component(d, ell)
-    entries = _t_matrix_entries(d, ell, "monomial")
     weights = [mono_norm_sq(m) for m in monomial_basis(d, ell)]
-    n = len(entries)
-    return all(
-        entries[j][i] * weights[j] == weights[i] * entries[i][j]
-        for i in range(n)
-        for j in range(n)
-    )
+    columns = _t_matrix_entries(d, ell, "monomial")
+    weighted = {(i, j): weights[i] * c for j, column in enumerate(columns) for i, c in column}
+    return all(weighted.get((j, i), 0) == w for (i, j), w in weighted.items())
 
 
 def char_poly_check(d: int, ell: int) -> bool:
     """Compare the characteristic polynomial of the monomial-basis matrix
     with the product of (x - lambda) over the formula eigenvalues of the
-    basis; neither side goes through the product-basis matrix."""
+    basis; neither side goes through the product-basis matrix.  It reads M,
+    not the cached 2M: doubling multiplies the k-th coefficient by 2^k, which
+    can move char_poly to a larger and slower prime."""
     _require_component(d, ell)
-    entries = _t_matrix_entries(d, ell, "monomial")
-    actual = linalg.char_poly([list(row) for row in entries])
+    actual = linalg.char_poly(t_matrix(d, ell, "monomial").entries)
     expected = linalg.poly_from_roots([Fraction(sequence_eigenvalue(p)) for p in s_basis(d, ell)])
     return actual == expected

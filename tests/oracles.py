@@ -209,6 +209,14 @@ def gbasis_t_matrix_reference(d: int, ell: int) -> tuple[tuple[Fraction, ...], .
     return tuple(tuple(col[i] for col in cols) for i in range(len(products)))
 
 
+def monomial_t_matrix_reference(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Monomial-basis matrix of T by whole-polynomial derivatives: column j
+    holds the coefficients of apply_t_reference of the j-th monomial."""
+    monos = monomial_basis(d, ell)
+    images = [apply_t_reference(Polynomial({m: 1})) for m in monos]
+    return tuple(tuple(f.coefficient(r) for f in images) for r in monos)
+
+
 def straighten_pair_reference(d1: int, l1: int, d2: int, l2: int) -> dict:
     """Nonzero coordinates of g(d1,l1) g(d2,l2) in the whole basis of its
     component, solved against all of E by its dense inverse."""

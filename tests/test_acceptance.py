@@ -34,6 +34,7 @@ from fockspectra import (
     spectral,
     spectrum,
     straighten_pair,
+    t_matrix,
     verify_self_adjoint,
     verify_triangular,
 )
@@ -92,7 +93,7 @@ def test_criterion_04_triangularity_formula_and_char_poly(cold_caches):
             assert ok, (d, ell)
             formula = sorted(sequence_eigenvalue(p) for p in s_basis(d, ell))
             assert sorted(diag) == formula, (d, ell)
-            mono = [list(row) for row in spectral._t_matrix_entries(d, ell, "monomial")]
+            mono = [list(row) for row in t_matrix(d, ell, "monomial").entries]
             assert linalg.char_poly(mono) == linalg.poly_from_roots(formula), (d, ell)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"sweep took {elapsed:.1f}s"

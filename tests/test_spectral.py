@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 
@@ -58,6 +59,14 @@ def test_t_matrix_rejects_bad_input():
         t_matrix(2, 4)
     with pytest.raises(ValueError):
         t_matrix(4, 2, basis="fourier")
+
+
+def test_monomial_matrix_matches_the_derivative_route():
+    for d in range(1, 11):
+        for ell in range(1, d + 1):
+            entries = t_matrix(d, ell, basis="monomial").entries
+            assert entries == oracles.monomial_t_matrix_reference(d, ell), (d, ell)
+            assert all(type(v) is Fraction for row in entries for v in row), (d, ell)
 
 
 def test_gbasis_matrix_matches_the_monomial_route():
@@ -227,16 +236,17 @@ def test_eigenbasis_matches_the_null_space_route():
 
 
 def _edit_flagship_matrix(monkeypatch, edit):
-    """Serve the (12,4) product-basis matrix with edit applied to its rows."""
+    """Serve the (12,4) product-basis matrix 2U with edit applied to its
+    columns, each given as a {row index: value} dict."""
     real = spectral._t_matrix_entries
 
     def patched(d, ell, basis):
-        entries = real(d, ell, basis)
+        columns = real(d, ell, basis)
         if (d, ell, basis) != (12, 4, "gbasis"):
-            return entries
-        rows = [list(row) for row in entries]
-        edit(rows)
-        return tuple(tuple(row) for row in rows)
+            return columns
+        edited = [dict(column) for column in columns]
+        edit(edited)
+        return tuple(tuple(sorted((i, c) for i, c in column.items() if c)) for column in edited)
 
     monkeypatch.setattr(spectral, "_t_matrix_entries", patched)
 
@@ -245,8 +255,8 @@ def test_the_certificate_guards_the_back_substitution(monkeypatch):
     values = [sequence_eigenvalue(p) for p in s_basis(12, 4)]
     i, k = [j for j, v in enumerate(values) if v == 3]
 
-    def link(rows):  # U_ik couples the two eigenvalue-3 positions: a Jordan block
-        rows[i][k] += 1
+    def link(columns):  # U_ik couples the two eigenvalue-3 positions: a Jordan block
+        columns[k][i] = columns[k].get(i, 0) + 2
 
     _edit_flagship_matrix(monkeypatch, link)
     assert spectrum(12, 4).eigenvalues.count(3) == 2  # the diagonal is still right
@@ -254,8 +264,8 @@ def test_the_certificate_guards_the_back_substitution(monkeypatch):
         eigenbasis(12, 4)
     monkeypatch.undo()
 
-    def below(rows):
-        rows[k][i] = Fraction(1)
+    def below(columns):  # U_ki = 1
+        columns[i][k] = 2
 
     _edit_flagship_matrix(monkeypatch, below)
     with pytest.raises(ConsistencyError, match="not upper triangular"):
@@ -265,8 +275,8 @@ def test_the_certificate_guards_the_back_substitution(monkeypatch):
     a = 0
     b = next(j for j, v in enumerate(values) if v != values[a])
 
-    def swap(rows):  # the same multiset of diagonal values at the wrong positions
-        rows[a][a], rows[b][b] = rows[b][b], rows[a][a]
+    def swap(columns):  # the same multiset of diagonal values at the wrong positions
+        columns[a][a], columns[b][b] = columns[b][b], columns[a][a]
 
     _edit_flagship_matrix(monkeypatch, swap)
     with pytest.raises(ConsistencyError, match="disagrees with matrix diagonal"):
@@ -381,6 +391,36 @@ def test_self_adjoint_sweep():
             assert verify_self_adjoint(d, ell), (d, ell)
 
 
+X1X2X2, X1X1X3 = poly.monomial({1: 1, 2: 2}), poly.monomial({1: 2, 3: 1})  # the basis of (5,3)
+X1X1X4, X2X2X2 = poly.monomial({1: 2, 4: 1}), poly.monomial({2: 3})  # two of the three of (6,3)
+
+
+@pytest.mark.parametrize(
+    "component, m, r, change",
+    [
+        ((6, 3), X1X1X4, X2X2X2, lambda c: c + 2),  # M[r, m] = 1 where M[m, r] = 0: one side only
+        ((5, 3), X1X2X2, X1X1X3, lambda c: 0),  # M[r, m] dropped, M[m, r] kept: one side only
+        ((5, 3), X1X2X2, X1X1X3, lambda c: c + 2),  # both sides present, no longer mirrored
+    ],
+)
+def test_self_adjointness_can_fail(monkeypatch, capsys, cold_caches, component, m, r, change):
+    real = spectral._twice_t_monomial  # the binding that builds the monomial-basis matrix
+
+    def perturbed(mono):
+        image = real(mono)
+        if mono == m:
+            image[r] = change(image.get(r, 0))
+        return image
+
+    monkeypatch.setattr(spectral, "_twice_t_monomial", perturbed)
+    assert not verify_self_adjoint(*component)
+    others = [(d, ell) for d in range(1, 7) for ell in range(1, d + 1) if (d, ell) != component]
+    assert all(verify_self_adjoint(*c) for c in others)
+    assert cli.main(["verify", "--max-d", "6", "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["result"]["checks"]}
+    assert checks["self-adjointness"]["failures"] == ["({},{})".format(*component)]
+
+
 def test_char_poly_check_examples():
     assert char_poly_check(4, 2)
     assert char_poly_check(3, 2)
@@ -398,7 +438,8 @@ def test_char_poly_check_reads_only_the_monomial_matrix(monkeypatch):
     real = linalg.char_poly
     monkeypatch.setattr(linalg, "char_poly", lambda rows: seen.append(rows) or real(rows))
     assert char_poly_check(7, 3)
-    assert seen == [[list(row) for row in t_matrix(7, 3, basis="monomial").entries]]
+    # M itself, not the cached 2M, whose larger coefficients can need a larger prime
+    assert seen == [t_matrix(7, 3, basis="monomial").entries]
 
 
 def test_char_poly_check_never_straightens(monkeypatch, cold_caches):
@@ -465,7 +506,7 @@ def test_char_poly_refuses_a_bound_past_its_largest_prime(monkeypatch):
 def test_char_poly_matches_faddeev_on_every_monomial_matrix():
     for d in range(1, 10):
         for ell in range(1, d + 1):
-            m = [list(row) for row in spectral._t_matrix_entries(d, ell, "monomial")]
+            m = [list(row) for row in t_matrix(d, ell, "monomial").entries]
             assert linalg.char_poly(m) == oracles.char_poly_faddeev(m), (d, ell)
 
 
