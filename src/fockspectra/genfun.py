@@ -14,22 +14,22 @@ F_m = c_m * mono_norm_sq(m); a generator is its one-factor product, a longer
 one (up to 64 factors) its stored prefix times its last generator, and g_poly
 returns a fresh Fraction polynomial, not the stored object.  Column j of the
 expansion matrix E holds the monomial coefficients of the j-th basis product.
-_expansion_lu keeps, per component, bound on the factor count and prime, the
-sparse LU (linalg.lu_factor) of the columns of E whose products have at most
-that many factors, built from their scaled terms (row m scaled by
-mono_norm_sq(m)), and each column's height, its largest |F_m|.  _solve is
-the package's one solve: transfer.straighten_pair uses it on the products
-with at most two factors, expand_in_gbasis on all of E.  It solves modulo
-each prime of linalg.LU_PRIMES in turn, reads the answer back as fractions
-and keeps it when the heights bound every residual below the prime.
-expansion_matrix gives E densely, for the tests.
+_expansion_lu keeps, per component and bound on the factor count, one sparse
+LU (linalg.lu_factor) modulo a prime q of the columns of E whose products have
+at most that many factors, built from their scaled terms (row m scaled by
+mono_norm_sq(m)), and each column's height, its largest |F_m|.  _solve, the
+package's one solve (transfer.straighten_pair uses it on the products with at
+most two factors, expand_in_gbasis on all of E), lifts the solution q-adically
+and reads it back modulo q^k after steps k = 1, 2, 4, ..., until the heights
+bound every residual below q^k.  expansion_matrix gives E densely, for the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb as binomial, isqrt, lcm
+from itertools import chain, count
+from math import comb as binomial, gcd, isqrt, lcm
 from typing import Iterable
 
 from . import linalg
@@ -161,41 +161,41 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)  # read by every later solve on the component
-def _expansion_lu(d: int, ell: int, max_factors: int, q: int) -> tuple[tuple, linalg.LUFactors, tuple]:
+def _expansion_lu(d: int, ell: int, max_factors: int) -> tuple[tuple, int, linalg.LUFactors, tuple]:
     """The basis products of (d, ell) with at most max_factors factors, the
-    sparse LU of their scaled columns of E modulo a prime q, and each
-    column's height max_m |F_m|.  Only the heights stay of the columns
-    themselves."""
+    first prime q of linalg.LU_PRIMES modulo which their scaled columns of E
+    are independent (ConsistencyError if none), their sparse LU modulo q and
+    each column's height max_m |F_m|, the one part of the columns kept."""
     products = tuple(p for p in admissible_sequences(d, ell) if len(p) <= max_factors)
-    heights = []
 
-    def columns():
+    def columns(heights):
         for p in products:
             column = _expand_canonical.__wrapped__(p)  # not stored (its prefix is): it only feeds lu_factor
             heights.append(max(map(abs, column.values())))
             yield column.items()
 
-    try:
-        factors = linalg.lu_factor(columns(), q)
-    except SingularMatrixError as e:
-        raise ConsistencyError(
-            f"expansion matrix for component ({d},{ell}) is singular; "
-            "the product family failed to be a basis"
-        ) from e
-    return products, factors, tuple(heights)
+    for q in linalg.LU_PRIMES:
+        heights: list[int] = []
+        try:  # lu_factor reads every column, and so fills heights, before the last item is built
+            return products, q, linalg.lu_factor(columns(heights), q), tuple(heights)
+        except SingularMatrixError as e:
+            singular = e
+    raise ConsistencyError(f"expansion matrix for component ({d},{ell}) is singular; "
+                           "the product family failed to be a basis") from singular
 
 
 def _read_back(v: int, q: int, n: int):
-    """The X/D congruent to v modulo q with |X|, D <= n, an int when D = 1, or None; for
-    2 n^2 < q there is at most one.  Half extended Euclid on (q, v), stopped at the first
-    remainder <= n (von zur Gathen & Gerhard, Modern Computer Algebra, Sec. 5.10)."""
+    """The X/D congruent to v modulo q with |X|, D <= n and gcd(D, q) = 1, an int when
+    D = 1, or None; for 2 n^2 < q there is at most one.  Half extended Euclid on (q, v),
+    stopped at the first remainder <= n (von zur Gathen & Gerhard, Modern Computer Algebra,
+    Sec. 5.10); for q = p^k its D may be divisible by p, and then X/D is not congruent to v."""
     if v <= n or q - v <= n:
         return v if v <= n else v - q
     r0, r1, t0, t1 = q, v, 0, 1
     while r1 > n:
         k = r0 // r1
         r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    return Fraction(r1, t1) if abs(t1) <= n else None
+    return Fraction(r1, t1) if abs(t1) <= n and gcd(t1, q) == 1 else None
 
 
 def _solve(d: int, ell: int, max_factors: int, b: dict) -> tuple[tuple[GProduct, ...], list]:
@@ -203,33 +203,31 @@ def _solve(d: int, ell: int, max_factors: int, b: dict) -> tuple[tuple[GProduct,
     the coordinates x on them of b, a vector in scaled coordinates
     {monomial: int}: ints where x_j is one, Fractions elsewhere.
 
-    For each prime q of linalg.LU_PRIMES in turn, x is solved modulo q,
-    read back as X_j/D with one denominator D, and kept when
-    sum_j |X_j| h_j + D max_m |b_m| < q for the column heights h_j: every
-    residual (E X - D b)_m is then an int below q that q divides, so 0, and
-    the columns are independent.  A b outside the span of columns
-    independent modulo q is outside it over Q: ValueError.  Columns singular
-    modulo every prime raise ConsistencyError; a table exhausted otherwise,
-    OverflowError.
+    Dixon's lifting (Numer. Math. 40 (1982) 137-141) on the one LU modulo q:
+    each step solves E s = r modulo q for the rest r (b at first), adds Q s to
+    x, sets Q to Q q and r to (r - E s) / q, exact by lu_solve's residual check.
+    After steps 1, 2, 4, ... x is read back modulo Q as X_j/D, D a unit, and
+    kept when sum_j |X_j| h_j + D max_m |b_m| < Q for the column heights h_j:
+    each residual (E X - D b)_m is then an int below Q that Q divides, so 0.
+    A b outside the span over Q is outside it q-adically: some step's residual
+    check fails, ValueError.  Only a second step recomputes E's columns.
     """
-    top, independent, singular = max(map(abs, b.values()), default=0), False, None
-    for q in linalg.LU_PRIMES:
-        try:
-            products, factors, heights = _expansion_lu(d, ell, max_factors, q)
-        except ConsistencyError as e:
-            singular = e
-            continue
-        independent, n = True, isqrt((q - 1) // 2)
-        x = [_read_back(v, q, n) for v in linalg.lu_solve(factors, b.items(), q)]
-        if None not in x:
-            den = lcm(*(c.denominator for c in x))
-            if den * (top + sum(abs(c) * h for c, h in zip(x, heights))) < q:
-                return products, x
-    if not independent:
-        raise singular
-    raise OverflowError(
-        f"no Mersenne prime in the table exceeds the bound sum_j |X_j| h_j + D max|b| on ({d},{ell})"
-    )
+    products, q, factors, heights = _expansion_lu(d, ell, max_factors)
+    top, rest, x, modulus, columns = max(map(abs, b.values()), default=0), b, [0] * len(products), 1, None
+    for k in count(1):
+        step = linalg.lu_solve(factors, rest.items(), q)
+        x = [v + modulus * s for v, s in zip(x, step)]
+        modulus *= q
+        if k & (k - 1) == 0:  # after steps 1, 2, 4, 8, ...
+            n = isqrt((modulus - 1) // 2)
+            coords = [_read_back(v, modulus, n) for v in x]
+            if None not in coords:
+                den = lcm(*(c.denominator for c in coords))
+                if den * (top + sum(abs(c) * h for c, h in zip(coords, heights))) < modulus:
+                    return products, coords
+        columns = columns or [_expand_canonical.__wrapped__(p) for p in products]
+        terms = ((m, -s * f) for s, column in zip(step, columns) if s for m, f in column.items())
+        rest = {m: v // q for m, v in collect(chain(rest.items(), terms)).items()}
 
 
 def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:

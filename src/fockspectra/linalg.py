@@ -5,8 +5,8 @@ floating point.
 lu_factor/lu_solve take sparse columns and right-hand sides as (row label,
 int value) pairs, for k <= n independent columns solved many times modulo a
 prime q; lu_solve checks the residual on every row and returns residues.
-genfun._solve, the package's one solve, tries the primes of LU_PRIMES in
-turn, reads each answer back as fractions and certifies it in ints.
+genfun._solve, the package's one solve, factorises modulo the first prime of
+LU_PRIMES that keeps the columns independent and lifts the answer q-adically.
 char_poly clears denominators and works modulo a Mersenne prime above twice
 Hadamard's bound on the coefficients: Hessenberg form, then Cohen's
 recurrence (Alg. 2.2.9), O(n^3) in all.  The package itself calls only
@@ -105,7 +105,7 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix:
 SparseEntries = tuple[tuple[Hashable, int], ...]
 LUFactors = tuple[tuple[Hashable, int, int, SparseEntries, SparseEntries], ...]
 
-# The primes modulo which the package solves, in the order it tries them.
+# The primes tried in turn for a factorisation: the first modulo which the columns are independent is kept.
 LU_PRIMES = tuple(2**e - 1 for e in _MERSENNE_EXPONENTS if e >= 61)
 
 

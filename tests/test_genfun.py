@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -208,19 +208,25 @@ def test_expansion_reconstruction_is_exact():
                 assert expand_combination(comb) == f
 
 
-# clearing up to 15 such denominators puts the scaled coordinates past 2^900
+# clearing up to 15 such denominators puts the scaled coordinates past 2^900,
+# far past one step modulo 2^61 - 1: the solve lifts them
 large_denominators = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.data())
 def test_expand_in_gbasis_equals_the_dense_inverse_on_every_component(data):
-    for d in range(1, 13):
-        for ell in range(1, d + 1):
-            monos = monomial_basis(d, ell)
-            coeffs = st.lists(st.one_of(st.just(0), large_denominators), min_size=len(monos), max_size=len(monos))
-            f = Polynomial(dict(zip(monos, data.draw(coeffs))))
-            assert expand_in_gbasis(f, d, ell) == oracles.expand_in_gbasis_reference(f, d, ell), (d, ell)
+    # modulo 2^61 - 1 with d <= 12, then lifted modulo 3 alone with d <= 8
+    for primes, max_d in ((linalg.LU_PRIMES, 12), ((3,), 8)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "LU_PRIMES", primes)
+            for d in range(1, max_d + 1):
+                for ell in range(1, d + 1):
+                    monos = monomial_basis(d, ell)
+                    coeffs = st.lists(st.one_of(st.just(0), large_denominators), min_size=len(monos), max_size=len(monos))
+                    f = Polynomial(dict(zip(monos, data.draw(coeffs))))
+                    assert expand_in_gbasis(f, d, ell) == oracles.expand_in_gbasis_reference(f, d, ell), (primes, d, ell)
+        genfun._expansion_lu.cache_clear()  # its key holds no prime: no LU outlives the primes it was made under
 
 
 N61 = 2**30 - 1  # the read-back bound modulo 2^61 - 1: 2 N61^2 < 2^61 - 1
@@ -241,12 +247,50 @@ def test_read_back_finds_every_fraction_within_its_bound(num, den, v):
         assert (got.numerator - got.denominator * v) % q == 0
 
 
-def test_an_exhausted_prime_table_raises_the_named_error(monkeypatch, cold_caches):
-    # modulo 2^61 - 1 alone, coordinates read back only up to 2^30 in size
-    monkeypatch.setattr(linalg, "LU_PRIMES", (2**61 - 1,))
-    assert expand_in_gbasis(x(2) ** 2 * 2**28, 4, 2) == (2**29, -(2**29))
-    with pytest.raises(OverflowError, match=r"no Mersenne prime in the table exceeds the bound .* \(4,2\)"):
-        expand_in_gbasis(x(2) ** 2 * 2**30, 4, 2)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 2**13 - 1]), st.integers(2, 60), st.data())
+def test_read_back_modulo_a_prime_power_returns_only_congruent_fractions(p, k, data):
+    q = p**k
+    n = isqrt((q - 1) // 2)
+    # a fraction within the bound whose denominator is a unit modulo q is found
+    num = data.draw(st.integers(-n, n))
+    den = data.draw(st.integers(1, n).filter(lambda t: t % p))
+    got = genfun._read_back(num * pow(den, -1, q) % q, q, n)
+    assert got == Fraction(num, den)
+    # any residue: a fraction X/D with D a unit and X = D v modulo q, or None
+    v = data.draw(st.integers(0, q - 1))
+    got = genfun._read_back(v, q, n)
+    if got is not None:
+        got = Fraction(got)
+        assert abs(got.numerator) <= n and got.denominator <= n and gcd(got.denominator, q) == 1
+        assert (got.numerator - got.denominator * v) % q == 0
+
+
+def test_read_back_refuses_a_denominator_sharing_a_factor_with_the_modulus():
+    # modulo 27 half-Euclid stops at 3/-3 = -1, which is not congruent to 8
+    assert genfun._read_back(8, 27, 3) is None
+
+
+def test_lifting_reads_back_coordinates_past_every_prime_of_the_table(monkeypatch, cold_caches):
+    # the coordinates 2^30001 need a modulus above 2^60003: 1024 steps on the one
+    # LU modulo 2^61 - 1, read back only after steps 1, 2, 4, ..., 1024
+    steps, reads, real_solve, real_read_back = [], [], linalg.lu_solve, genfun._read_back
+
+    def lu_solve(factors, b, modulus):
+        steps.append(modulus)
+        return real_solve(factors, b, modulus)
+
+    def read_back(v, q, n):
+        reads.append(q)
+        return real_read_back(v, q, n)
+
+    monkeypatch.setattr(linalg, "lu_solve", lu_solve)
+    monkeypatch.setattr(genfun, "_read_back", read_back)
+    assert expand_in_gbasis(x(2) ** 2 * 2**30000, 4, 2) == (2**30001, -(2**30001))
+    assert genfun._expansion_lu.cache_info().currsize == 1
+    assert steps == [2**61 - 1] * 1024
+    # two coordinates read back at most once per power of two up to the step count
+    assert len(reads) <= 2 * len(steps).bit_length()
 
 
 def test_spanning_products_small():

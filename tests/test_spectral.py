@@ -80,15 +80,17 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
     def monomial_route(*args):
         raise AssertionError("spectrum applied T to monomials")
 
-    pairs, solves, factorisations = [], [], []
+    pairs, solves, factorisations, steps = [], [], [], []
     real_pair, real_solve, real_lu = transfer._straighten_pair, linalg.lu_solve, genfun._expansion_lu
 
     def straighten_pair(*args):
         pairs.append(args)
+        solved = len(solves)
         try:
             return real_pair(*args)
         finally:
             pairs.pop()
+            steps.append(len(solves) - solved)
 
     def lu_solve(factors, b, modulus):
         assert pairs, "spectrum solved a linear system outside straighten_pair"
@@ -108,8 +110,10 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
     assert spectrum(12, 4).eigenvalues == (1, 3, 3, 5, 6, 7, 7, 10, 10, 10, 13, 15, 17, 19, 30)
     # one solve per distinct irregular pair, fewer than the 15 basis products
     assert 0 < solves.count((12, 4)) < 15
-    # every factorisation is modulo 2^61 - 1, of the products with at most two factors
-    assert factorisations and all(args[2:] == (2, 2**61 - 1) for args in factorisations)
+    # every factorisation is of the products with at most two factors, and no
+    # solve lifts past its first step
+    assert factorisations and all(args[2:] == (2,) for args in factorisations)
+    assert steps and max(steps) == 1
 
 
 def test_cold_caches_finds_the_package_caches(cold_caches):

@@ -220,12 +220,17 @@ def test_straighten_pair_certifies_its_answer(monkeypatch, cold_caches):
     )
     with pytest.raises(ConsistencyError, match=r"straightening g\(2,1\)g\(2,1\)"):
         straighten_pair(2, 1, 2, 1)
+    # lifting modulo 3 ends too: a b outside the span fails a step's residual check
+    monkeypatch.setattr(linalg, "LU_PRIMES", (3,))
+    genfun._expansion_lu.cache_clear()
+    with pytest.raises(ConsistencyError, match=r"straightening g\(2,1\)g\(2,1\)"):
+        straighten_pair(2, 1, 2, 1)
 
 
 def test_a_candidate_off_by_the_prime_fails_the_bound_and_falls_back(monkeypatch, cold_caches):
-    # modulo 3 the read-back candidate solves the system modulo 3 only; the
-    # bound refuses it and the next prime, 2^61 - 1, answers
-    monkeypatch.setattr(linalg, "LU_PRIMES", (3, 2**61 - 1))
+    # modulo 3 the read-back candidate of the first step solves the system
+    # modulo 3 only; the bound refuses it, and lifting modulo 9, 27, ... answers
+    monkeypatch.setattr(linalg, "LU_PRIMES", (3,))
     d1, l1, d2, l2 = 5, 2, 4, 3
     expected = oracles.straighten_pair_reference(d1, l1, d2, l2)
     solves, real_solve = [], linalg.lu_solve
@@ -236,23 +241,23 @@ def test_a_candidate_off_by_the_prime_fails_the_bound_and_falls_back(monkeypatch
 
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     assert straighten_pair(d1, l1, d2, l2) == expected
-    assert [q for q, _ in solves] == [3, 2**61 - 1]
+    assert len(solves) > 1 and all(q == 3 for q, _ in solves)
     candidate = [genfun._read_back(v, 3, 1) for v in solves[0][1]]
-    products, _, heights = genfun._expansion_lu(d1 + d2, l1 + l2, 2, 3)
+    products, q, _, heights = genfun._expansion_lu(d1 + d2, l1 + l2, 2)
     pair = genfun._expand_canonical(((d1, l1), (d2, l2)))
     residual = dict(pair)
     for p, c in zip(products, candidate):
         for m, f in genfun._expand_canonical(p).items():
             residual[m] = residual.get(m, 0) - c * f
-    assert not any(r % 3 for r in residual.values()) and any(residual.values())
+    assert q == 3 and not any(r % 3 for r in residual.values()) and any(residual.values())
     assert sum(abs(c) * h for c, h in zip(candidate, heights)) + max(map(abs, pair.values())) >= 3
 
 
 @pytest.mark.parametrize("prime", [2**13 - 1, 3])
 def test_straightening_modulo_a_small_prime_still_equals_the_rational_solve(prime, monkeypatch, cold_caches):
-    # every pair with d1 + d2 <= 12 is solved modulo the small prime first:
-    # 190 of the 826 answers fail its bound modulo 8191, 751 modulo 3, and
-    # those are solved again modulo 2^61 - 1
+    # every pair with d1 + d2 <= 12 is solved modulo the small prime alone:
+    # 190 of the 826 answers fail its bound after one step modulo 8191, 751
+    # modulo 3, and those are lifted until the bound holds
     pairs = list(_irregular_pairs(12))
     expected = [oracles.straighten_pair_reference(*pair) for pair in pairs]
     routes, real_solve = [], linalg.lu_solve
@@ -261,12 +266,11 @@ def test_straightening_modulo_a_small_prime_still_equals_the_rational_solve(prim
         routes.append(modulus)
         return real_solve(factors, b, modulus)
 
-    monkeypatch.setattr(linalg, "LU_PRIMES", (prime, 2**61 - 1))
+    monkeypatch.setattr(linalg, "LU_PRIMES", (prime,))
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     for pair, comb in zip(pairs, expected):
         assert straighten_pair(*pair) == comb, pair
-    assert routes.count(prime) == len(pairs)
-    assert routes.count(2**61 - 1) == (751 if prime == 3 else 190)
+    assert routes == [prime] * (6501 if prime == 3 else 1016)
 
 
 def test_columns_singular_modulo_a_prime_are_solved_modulo_the_next(monkeypatch, cold_caches):
@@ -274,12 +278,12 @@ def test_columns_singular_modulo_a_prime_are_solved_modulo_the_next(monkeypatch,
     # dependent modulo 2, independent over Q, where g(3,1)g(1,1) = g(4,2) - g(2,1)^2 / 2
     monkeypatch.setattr(linalg, "LU_PRIMES", (2, 2**61 - 1))
     monkeypatch.setattr(genfun, "admissible_sequences", lambda d, ell: (((4, 2),), ((2, 1), (2, 1))))
-    with pytest.raises(ConsistencyError, match="singular"):
-        genfun._expansion_lu(4, 2, 2, 2)
+    assert genfun._expansion_lu(4, 2, 2)[1] == 2**61 - 1
     b = genfun._expand_canonical(((3, 1), (1, 1)))
     assert genfun._solve(4, 2, 2, b) == ((((4, 2),), ((2, 1), (2, 1))), [1, Fraction(-1, 2)])
     # singular modulo every prime of the table
     monkeypatch.setattr(linalg, "LU_PRIMES", (2,))
+    genfun._expansion_lu.cache_clear()
     with pytest.raises(ConsistencyError, match="singular"):
         genfun._solve(4, 2, 2, b)
 
