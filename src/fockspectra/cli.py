@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import genfun, partitions, spectral, transfer
 from .errors import ConsistencyError
 from .genfun import GCombination, gcombination_str, gproduct_str
-from .poly import Polynomial, collect, mono_norm_sq, mono_str, monomial_basis, rational_str
+from .poly import Polynomial, mono_norm_sq, mono_str, monomial_basis, rational_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -240,21 +240,28 @@ def _run_hooks(args) -> tuple:
 
 def _run_tmatrix(args) -> tuple:
     d, ell = _component(args)
-    matrix = spectral.t_matrix(d, ell, basis=args.basis)
+    columns = spectral._t_matrix_entries(d, ell, args.basis)  # of 2T, as spectral.t_matrix reads them
+    labels = monomial_basis(d, ell) if args.basis == "monomial" else spectral.s_basis(d, ell)
     label = mono_str if args.basis == "monomial" else gproduct_str
 
+    def rows(render) -> list[list[str]]:  # one shared zero string, one Fraction per nonzero entry
+        zero = render(Fraction(0))
+        out = [[zero] * len(columns) for _ in columns]
+        for j, column in enumerate(columns):
+            for i, c in column:
+                out[i][j] = render(Fraction(c, 2))
+        return out
+
     def result() -> dict:
-        rows = [[fraction_str(v) for v in row] for row in matrix.entries]
-        return {"d": d, "ell": ell, "basis": args.basis, "labels": list(matrix.col_labels), "rows": rows}
+        return {"d": d, "ell": ell, "basis": args.basis, "labels": list(labels), "rows": rows(fraction_str)}
 
     def human() -> str:
         lines = [f"matrix of the operator on ({d},{ell}), {args.basis} basis:"]
-        lines.append("columns: " + ", ".join(label(c) for c in matrix.col_labels))
-        for row in matrix.entries:
-            lines.append("  [" + ", ".join(rational_str(v) for v in row) + "]")
+        lines.append("columns: " + ", ".join(label(c) for c in labels))
+        lines += ("  [" + ", ".join(row) + "]" for row in rows(rational_str))
         return "\n".join(lines)
 
-    return EXIT_OK, result, human, lambda: _csv([rational_str(v) for v in row] for row in matrix.entries)
+    return EXIT_OK, result, human, lambda: _csv(rows(rational_str))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,6 @@ def _run_tmatrix(args) -> tuple:
 def _verify_checks(max_d: int) -> list[dict]:
     pairs = [(d, ell) for d in range(1, max_d + 1) for ell in range(1, d + 1)]
     eigenvalues = {}  # of each component whose spectrum did not raise
-    columns = {}  # 2T of each monomial of a component, scaled, read off its monomial-basis matrix
 
     def component_check(holds):  # a failure names only the component
         return lambda d, ell: None if holds(d, ell) else f"({d},{ell})"
@@ -294,25 +300,37 @@ def _verify_checks(max_d: int) -> list[dict]:
     def exact_quotient(a, b):  # an int when b divides a
         return Fraction(a, b) if a % b else a // b
 
-    def structural(p, d, ell):  # sum of F_m K[., m] over p's terms, against sum of 2 a_q F_q over 2T(p)
-        if (d, ell) not in columns:  # K[r, m] = N(r) 2M[r, m] / N(m), N = mono_norm_sq; never rounded
+    def coordinates():  # one component at a time: its products, with its state built once, dropped at the next
+        for d, ell in pairs:  # K[r, m] = N(r) 2M[r, m] / N(m) on monomial indices, N = mono_norm_sq; never rounded
             monos = monomial_basis(d, ell)
-            norms = [mono_norm_sq(m) for m in monos]
-            columns[d, ell] = {
-                m: [(monos[i], exact_quotient(norms[i] * c, nm)) for i, c in column]
-                for m, nm, column in zip(monos, norms, spectral._t_matrix_entries(d, ell, "monomial"))
-            }
-        image_of = columns[d, ell]
-        direct = collect((r, f * k) for m, f in genfun._expand_canonical(p).items() for r, k in image_of[m])
-        closed = transfer._twice_t_structural(p).items()
-        if direct != collect((r, c * f) for q, c in closed for r, f in genfun._expand_canonical(q).items()):
+            index, norms = {m: i for i, m in enumerate(monos)}, [mono_norm_sq(m) for m in monos]
+            image_of = [[(i, exact_quotient(norms[i] * c, nm)) for i, c in column]
+                        for nm, column in zip(norms, spectral._t_matrix_entries(d, ell, "monomial"))]
+            expanded = {}  # product: its scaled expansion F as (index, int) pairs, from its first use
+
+            def scaled(q):
+                if q not in expanded:
+                    expanded[q] = [(index[m], f) for m, f in genfun._expand_canonical(q).items()]
+                return expanded[q]
+
+            for p in genfun.spanning_products(d, ell):
+                yield p, len(monos), image_of, scaled
+
+    def structural(p, n, image_of, scaled):  # sum of F_m K[., m] over p's terms, against sum of c F_q over 2T(p)
+        direct, closed = [0] * n, [0] * n
+        for m, f in scaled(p):
+            for r, k in image_of[m]:
+                direct[r] += f * k
+        for q, c in transfer._twice_t_structural(p).items():
+            for r, f in scaled(q):
+                closed[r] += c * f
+        if direct != closed:
             return f"product {gproduct_str(p)}"
 
     def alternating(n, m, p, lp):
         if not transfer.alternating_identity_residual(n, m, p, lp).is_zero():
             return f"(n={n},m={m},p={p},lp={lp})"
 
-    products = ((p, d, ell) for d, ell in pairs for p in genfun.spanning_products(d, ell))
     residuals = (
         (n, m, p, lp)
         for n in range((max_d + 1) // 2)  # n = (d - 1) // 2 for each odd d <= max_d
@@ -327,7 +345,7 @@ def _verify_checks(max_d: int) -> list[dict]:
         ("self-adjointness", pairs, component_check(spectral.verify_self_adjoint)),
         ("dominant eigenvalue", pairs, dominant),
         ("zero-eigenvalue law", pairs, component_check(zero_law)),
-        ("structural action agreement", products, structural),
+        ("structural action agreement", coordinates(), structural),
         ("alternating identity residuals", residuals, alternating),
     ]
     checks = []

@@ -134,7 +134,9 @@ def spanning_products(d: int, ell: int) -> tuple[GProduct, ...]:
     """Every canonical product of nonzero generators with total bidegree
     (d, ell), admissible or not; emitted in basis order, by a walk that takes
     the nonzero pairs in canonical order and never steps back in it, listing
-    the tails from each (first pair, remaining bidegree) once."""
+    the tails from each (first pair, remaining bidegree) once.  It steps only
+    into remainders (rd, rl) that nonzero generators can fill, rd >= rl >= 0
+    with rd = 0 exactly when rl = 0; any other remainder has no tail."""
     pairs = [(d1, l1) for d1 in range(d, 0, -1) for l1 in range(1, min(d1, ell) + 1)]
     tails: dict[tuple[int, int, int], list[GProduct]] = {}
 
@@ -142,8 +144,9 @@ def spanning_products(d: int, ell: int) -> tuple[GProduct, ...]:
         out: list[GProduct] = [()] if rem_d == rem_l == 0 else []
         for k in range(start, len(pairs)):
             d1, l1 = pairs[k]
-            if d1 <= rem_d and l1 <= rem_l:
-                key = (k, rem_d - d1, rem_l - l1)
+            rd, rl = rem_d - d1, rem_l - l1
+            if rd >= rl >= 0 and (rd == 0) == (rl == 0):
+                key = (k, rd, rl)
                 if key not in tails:
                     tails[key] = extend(*key)
                 out += [((d1, l1),) + rest for rest in tails[key]]

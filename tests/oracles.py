@@ -12,8 +12,9 @@ expansion matrix, in Fractions, for the change of basis (where the package
 solves modulo primes), and through it the monomial route for the
 product-basis matrix of T and a solve against the whole expansion matrix
 for the straightening of a pair, a dense null space per eigenvalue for its
-eigenvectors, and successive projections for their Gram-Schmidt
-orthogonalisation.
+eigenvectors, successive projections for their Gram-Schmidt
+orthogonalisation, and sums on monomial keys for the verify sweep's check of
+the closed form of T (the sweep sums on monomial indices).
 """
 
 from __future__ import annotations
@@ -32,17 +33,20 @@ from fockspectra import (
     expansion_matrix,
     g_poly,
     g_product_expand,
+    genfun,
     inner_product,
     linalg,
     monomial,
     monomial_basis,
     partial_derivative,
     s_basis,
+    spectral,
     t_matrix,
+    transfer,
     x,
 )
 from fockspectra.genfun import nonzero_factors, sorted_product
-from fockspectra.poly import collect
+from fockspectra.poly import collect, mono_norm_sq
 
 # --- truncated power series with Polynomial coefficients (index = z-degree) --
 
@@ -187,6 +191,30 @@ def twice_t_structural_reference(factors) -> dict:
                 pair = [(di + p, li + 1), (dj - p, lj - 1)] if p < dj else [(di + dj, li + 1)]
                 terms.append((sorted_product(others + pair), up))
     return collect(terms)
+
+
+def structural_agreement_reference(d: int, ell: int) -> dict:
+    """Whether the closed form of 2T agrees with the monomial-level 2T on
+    each product of spanning_products_reference(d, ell), {product: bool}:
+    sum of F_m K[., m] over the product's scaled expansion F against sum of
+    c F_q over 2T of the product, K[r, m] = N(r) 2M[r, m] / N(m) in
+    Fractions, N = mono_norm_sq, both sides summed by collect on monomial keys.
+    It reads spectral._t_matrix_entries, transfer._twice_t_structural and
+    genfun._expand_canonical when called, as the verify sweep does."""
+    monos = monomial_basis(d, ell)
+    norms = [mono_norm_sq(m) for m in monos]
+    image_of = {
+        m: [(monos[i], Fraction(norms[i] * c, nm)) for i, c in column]
+        for m, nm, column in zip(monos, norms, spectral._t_matrix_entries(d, ell, "monomial"))
+    }
+    agrees = {}
+    for p in spanning_products_reference(d, ell):
+        direct = collect((r, f * k) for m, f in genfun._expand_canonical(p).items() for r, k in image_of[m])
+        closed = collect(
+            (r, c * f) for q, c in transfer._twice_t_structural(p).items() for r, f in genfun._expand_canonical(q).items()
+        )
+        agrees[p] = direct == closed
+    return agrees
 
 
 @cache

@@ -1,5 +1,6 @@
 import json
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import fockspectra
-from fockspectra import cli, g_poly, genfun, monomial, monomial_basis, spectral, spectrum, transfer
+from fockspectra import bidegree, cli, g_poly, genfun, monomial, monomial_basis, spectral, spectrum, transfer
 from fockspectra.errors import ConsistencyError
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +225,110 @@ def test_verify_keeps_a_fractional_monomial_image_exact(capsys, monkeypatch, col
     containing = [p for p in genfun.spanning_products(5, 3) if genfun.g_product_expand(p).coefficient(m)]
     assert containing and structural["status"] == "fail"
     assert structural["failures"] == [f"product {genfun.gproduct_str(p)}" for p in containing]
+
+
+def _add_to_image(exponents, target_exponents, amount):
+    """spectral._twice_t_monomial with amount added to the coefficient of one monomial in 2T(another)."""
+    real, mono, target = spectral._twice_t_monomial, monomial(exponents), monomial(target_exponents)
+
+    def perturbed(m):
+        image = real(m)
+        if m == mono:
+            image[target] = image.get(target, 0) + amount
+        return image
+
+    return perturbed
+
+
+def _add_to_closed_form(product, term, amount):
+    """transfer._twice_t_structural with amount added to the coefficient of term in 2T(product)."""
+    real = transfer._twice_t_structural
+
+    def perturbed(factors):
+        comb = real(factors)
+        if tuple(factors) == product:
+            comb[term] = comb.get(term, 0) + amount
+        return comb
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "owner, name, patch",
+    [
+        (None, None, None),
+        (spectral, "_twice_t_monomial", lambda: _add_to_image({1: 1, 2: 2}, {1: 1, 2: 2}, Fraction(2, 3))),
+        (spectral, "_twice_t_monomial", lambda: _add_to_image({1: 2, 3: 1, 4: 1}, {2: 3, 3: 1}, 1)),
+        (transfer, "_twice_t_structural", lambda: _add_to_closed_form(((3, 1), (2, 2)), ((4, 2), (1, 1)), 2)),
+        (transfer, "_twice_t_structural", lambda: _add_to_closed_form(((4, 1), (3, 2), (2, 1)), ((6, 2), (3, 2)), -1)),
+    ],
+    ids=["unchanged", "fractional-diagonal", "off-diagonal", "closed-form", "closed-form-three-factors"],
+)
+def test_structural_check_fails_exactly_where_the_reference_does(monkeypatch, cold_caches, owner, name, patch):
+    # the sweep sums on monomial indices, one component at a time; the reference, the
+    # check as it was before, sums on monomial keys: equal pass/fail on every product, d <= 10
+    if patch:
+        monkeypatch.setattr(owner, name, patch())
+    structural = {c["name"]: c for c in cli._verify_checks(10)}["structural action agreement"]
+    components = [(d, ell) for d in range(1, 11) for ell in range(1, d + 1)]
+    agrees = [ok for d, ell in components for ok in oracles.structural_agreement_reference(d, ell).items()]
+    assert structural["cases"] == len(agrees) == 1123
+    assert structural["failures"] == [f"product {genfun.gproduct_str(p)}" for p, ok in agrees if not ok]
+    assert bool(structural["failures"]) == bool(patch)
+
+
+def test_verify_builds_k_once_per_component_before_its_products(monkeypatch, cold_caches):
+    # building K reads one norm per monomial of the component, and the check reads 2T(p) once per
+    # product: per component, each of its norms once, then its products, then the next component
+    events = []
+    real_norm, real_closed = cli.mono_norm_sq, transfer._twice_t_structural
+
+    def norm(m):
+        events.append(("norm", *bidegree(m)))
+        return real_norm(m)
+
+    def closed(p):
+        events.append(("product", sum(d for d, _ in p), sum(ell for _, ell in p)))
+        return real_closed(p)
+
+    monkeypatch.setattr(cli, "mono_norm_sq", norm)
+    monkeypatch.setattr(transfer, "_twice_t_structural", closed)
+    assert all(c["status"] == "pass" for c in cli._verify_checks(8))
+    runs = []  # consecutive equal events, counted
+    for event in events:
+        if runs and runs[-1][0] == event:
+            runs[-1][1] += 1
+        else:
+            runs.append([event, 1])
+    components = [(d, ell) for d in range(1, 9) for ell in range(1, d + 1)]
+    expected = []
+    for d, ell in components:
+        expected += [[("norm", d, ell), len(monomial_basis(d, ell))]]
+        expected += [[("product", d, ell), len(genfun.spanning_products(d, ell))]]
+    assert runs == expected
+
+
+def test_verify_holds_one_component_s_state_at_a_time(monkeypatch, cold_caches):
+    # at the first product of each component, the state the check built for the one before
+    # (K's columns, the index map and the stored expansions) is held by nothing but this test
+    held, leaked = {}, []
+    real = transfer._twice_t_structural
+
+    def closed(p):
+        component = (sum(d for d, _ in p), sum(ell for _, ell in p))
+        if component not in held:
+            for earlier, state in list(held.items())[-1:]:
+                # read by index: on Python 3.10 a frame whose local holds the object is a referrer
+                if any(len(gc.get_referrers(state[i])) > 1 for i in range(len(state))):
+                    leaked.append(earlier)
+            caller = sys._getframe(1).f_locals  # the check's frame: its arguments image_of and scaled
+            cells = dict(zip(caller["scaled"].__code__.co_freevars, caller["scaled"].__closure__))
+            held[component] = [caller["image_of"], cells["index"].cell_contents, cells["expanded"].cell_contents]
+        return real(p)
+
+    monkeypatch.setattr(transfer, "_twice_t_structural", closed)
+    assert all(c["status"] == "pass" for c in cli._verify_checks(6))
+    assert len(held) == 21 and leaked == []
 
 
 def test_verify_canonicalises_each_product_once(monkeypatch, cold_caches):

@@ -304,8 +304,9 @@ def test_spanning_products_small():
 
 
 def test_spanning_products_match_the_brute_force_enumeration():
-    for d in range(13):
-        for ell in range(d + 1):
+    # up to d = 14, and ell = d + 1, which no product fills
+    for d in range(15):
+        for ell in range(d + 2):
             # the reference is a sorted set: equal lists mean basis order and no duplicates
             assert list(spanning_products(d, ell)) == oracles.spanning_products_reference(d, ell), (d, ell)
 
