@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -390,9 +391,22 @@ def _run_verify(args) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+_COMMANDS = (  # name, runner, help, integer positionals, whether the runner also returns a CSV form
+    ("spectrum", _run_spectrum, "eigenvalues on a component", ("d", "ell"), True),
+    ("basis", _run_basis, "product basis with Young diagrams", ("d", "ell"), False),
+    ("gpoly", _run_gpoly, "the generator g(d, ell)", ("d", "ell"), False),
+    ("straighten", _run_straighten, "rewrite a product of two generators", ("d1", "l1", "d2", "l2"), False),
+    ("hooks", _run_hooks, "diagonal hook/leg statistics of a partition", (), False),
+    ("tmatrix", _run_tmatrix, "matrix of the operator on a component", ("d", "ell"), True),
+    ("verify", _run_verify, "run the full verification sweep", (), False),
+)
+CSV_COMMANDS = tuple(name for name, *_, has_csv in _COMMANDS if has_csv)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it unchanged.
+    Its commands attribute maps each command name to that command's own parser."""
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable envelope output")
@@ -409,50 +423,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectra of the degree/length-preserving operator on symmetric functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    with_csv = []  # the commands whose runner also returns a CSV form
-
-    def command(name, run, help, *int_positionals, has_csv=False):
-        if has_csv:
-            with_csv.append(name)
-        p = sub.add_parser(name, parents=[common], help=help)
+    parser.commands = commands = {}
+    for name, run, help, int_positionals, _ in _COMMANDS:
+        p = commands[name] = sub.add_parser(name, parents=[common], help=help)
         for dest in int_positionals:
             p.add_argument(dest, type=int)
         p.set_defaults(run=run)
-        return p
-
-    p = command("spectrum", _run_spectrum, "eigenvalues on a component", "d", "ell", has_csv=True)
-    p.add_argument("--eigenvectors", action="store_true", help="include exact eigenvectors")
-    command("basis", _run_basis, "product basis with Young diagrams", "d", "ell")
-    command("gpoly", _run_gpoly, "the generator g(d, ell)", "d", "ell")
-    command("straighten", _run_straighten, "rewrite a product of two generators", "d1", "l1", "d2", "l2")
-    p = command("hooks", _run_hooks, "diagonal hook/leg statistics of a partition")
-    p.add_argument("partition", help="comma-separated weakly decreasing positive parts, e.g. 7,7,5,4,3,2")
-    p = command("tmatrix", _run_tmatrix, "matrix of the operator on a component", "d", "ell", has_csv=True)
-    p.add_argument("--basis", choices=["gbasis", "monomial"], default="gbasis")
-    p = command("verify", _run_verify, "run the full verification sweep")
-    p.add_argument("--max-d", type=int, default=8, dest="max_d")
-    parser.set_defaults(csv_commands=tuple(with_csv))
+    commands["spectrum"].add_argument("--eigenvectors", action="store_true", help="include exact eigenvectors")
+    commands["hooks"].add_argument("partition",
+                                   help="comma-separated weakly decreasing positive parts, e.g. 7,7,5,4,3,2")
+    commands["tmatrix"].add_argument("--basis", choices=["gbasis", "monomial"], default="gbasis")
+    commands["verify"].add_argument("--max-d", type=int, default=8, dest="max_d")
     return parser
 
 
 def _params_of(args: argparse.Namespace) -> dict:
-    skip = {"command", "run", "json", "csv", "csv_commands", "max_dim"}
+    skip = {"command", "run", "json", "csv", "max_dim"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)  # integer arguments keep Python's digit limit
+    argv = sys.argv[1:] if argv is None else argv
+    # One parse per request.  The top-level parser has only -h, and its subparsers action (nargs PARSER) hands every
+    # token after the command name to that command's parser, so called directly it parses the same tokens.  An empty
+    # list, -h, an unknown command or leftover tokens go to the top-level parser for its usage, help and errors.
+    command = build_parser().commands.get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if command else (None, None)
+    if command is None or rest:
+        args = build_parser().parse_args(argv)  # integer arguments keep Python's digit limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact results print in full, however many digits they have
     try:
-        return _answer(args)
+        code = _answer(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: what is left goes to devnull, as Python's signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def _answer(args: argparse.Namespace) -> int:
-    if args.csv and args.command not in args.csv_commands:  # refused before any work
-        print(f"error: --csv is only available for {' and '.join(args.csv_commands)}", file=sys.stderr)
+    if args.csv and args.command not in CSV_COMMANDS:  # refused before any work
+        print(f"error: --csv is only available for {' and '.join(CSV_COMMANDS)}", file=sys.stderr)
         return EXIT_USAGE
     envelope = {"command": args.command, "params": _params_of(args), "status": "ok"}
     try:  # a runner computes its data; only the form printed is rendered, here

@@ -205,7 +205,7 @@ def null_space(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     return basis
 
 
-def char_poly(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+def char_poly(rows: Sequence[Sequence[int | Fraction]]) -> list[Fraction]:
     """Characteristic polynomial det(xI - A) as monic coefficients [1, c1, ..., cn]
     for x^n + c1 x^(n-1) + ... + cn, in O(n^3) operations modulo one prime.
 
@@ -216,7 +216,7 @@ def char_poly(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     LA is brought to Hessenberg form, then Cohen's recurrence gives the
     polynomial (A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
-    scale = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    scale = lcm(*(v.denominator for row in rows for v in row))
     h = [[int(v * scale) for v in row] for row in rows]
     n = len(h)
     # 1 + ceil(sqrt(s)) = isqrt(s - 1) + 2 for row norm^2 s > 0; an |entry| < q/2 is 0 mod q only if 0
@@ -256,10 +256,9 @@ def char_poly(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     return [Fraction(c - q if 2 * c > q else c, scale**k) for k, c in enumerate(polys[n][::-1])]
 
 
-def poly_from_roots(roots: Sequence[Fraction]) -> list[Fraction]:
-    """Monic coefficients of prod (x - r), same layout as char_poly."""
-    coeffs = [Fraction(1)]
+def poly_from_roots(roots: Sequence[int | Fraction]) -> list[int | Fraction]:
+    """Monic coefficients of prod (x - r), same layout as char_poly; ints for int roots."""
+    coeffs = [1]
     for r in roots:
-        r = Fraction(r)
         coeffs = [c - r * (coeffs[i - 1] if i else 0) for i, c in enumerate(coeffs)] + [-r * coeffs[-1]]
     return coeffs

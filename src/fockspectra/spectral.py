@@ -272,10 +272,13 @@ def verify_self_adjoint(d: int, ell: int) -> bool:
 def char_poly_check(d: int, ell: int) -> bool:
     """Compare the characteristic polynomial of the monomial-basis matrix
     with the product of (x - lambda) over the formula eigenvalues of the
-    basis; neither side goes through the product-basis matrix.  It reads M,
-    not the cached 2M: doubling multiplies the k-th coefficient by 2^k, which
-    can move char_poly to a larger and slower prime."""
+    basis; neither side goes through the product-basis matrix.  It halves the
+    cached 2M into M, in ints where an entry is even: doubling multiplies the
+    k-th coefficient by 2^k, which can move char_poly to a larger and slower prime."""
     _require_component(d, ell)
-    actual = linalg.char_poly(t_matrix(d, ell, "monomial").entries)
-    expected = linalg.poly_from_roots([Fraction(sequence_eigenvalue(p)) for p in s_basis(d, ell)])
-    return actual == expected
+    columns = _t_matrix_entries(d, ell, "monomial")
+    rows = [[0] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, c in column:
+            rows[i][j] = Fraction(c, 2) if c % 2 else c // 2
+    return linalg.char_poly(rows) == linalg.poly_from_roots([sequence_eigenvalue(p) for p in s_basis(d, ell)])

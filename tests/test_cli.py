@@ -1,9 +1,11 @@
+import argparse
 import json
 import contextlib
 import gc
 import hashlib
 import importlib.util
 import io
+import os
 import subprocess
 import sys
 import time
@@ -545,6 +547,45 @@ def test_consistency_error_is_a_failure_not_a_traceback(capsys, monkeypatch):
     assert code == 1
     assert err == "error: cross-check failed on component (4,2)\n"
     assert not out
+
+
+def test_a_well_formed_request_is_parsed_once(capsys, monkeypatch):
+    parsers = []  # the prog of each parser that parsed, in call order
+    real = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_known_args", lambda self, *a, **k: parsers.append(self.prog) or real(self, *a, **k)
+    )
+    requests = [
+        ["spectrum", "6", "3", "--eigenvectors", "--json"], ["basis", "5", "2"], ["gpoly", "4", "2", "--json"],
+        ["straighten", "2", "1", "2", "1"], ["hooks", "3,1"], ["tmatrix", "4", "2", "--csv"], ["verify", "--max-d", "2"],
+    ]
+    for argv in requests:
+        parsers.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert parsers == [f"fockspectra {argv[0]}"]
+    parsers.clear()
+    with pytest.raises(SystemExit) as exc:  # a leftover token goes to the top-level parser, which reports it
+        cli.main(["spectrum", "8", "3", "extra"])
+    assert exc.value.code == 2
+    assert parsers[:2] == ["fockspectra spectrum", "fockspectra"]
+    assert capsys.readouterr().err.endswith("fockspectra: error: unrecognized arguments: extra\n")
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its write to stdout fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "fockspectra", "spectrum", "12", "4", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(fockspectra.__file__).parents[1],
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    assert (result.returncode, result.stderr) == (2, "")
 
 
 def test_csv_unavailable_elsewhere(capsys):

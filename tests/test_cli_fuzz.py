@@ -1,9 +1,11 @@
-"""Fuzz test of the command line, in process: every argument list ends in an
-exit code of 0, 1 or 2, and under --json in an envelope that parses."""
+"""Fuzz tests of the command line, in process: every argument list ends in an
+exit code of 0, 1 or 2, and under --json in an envelope that parses; and
+main's one parse answers as the top-level parser's two parses did."""
 
 import contextlib
 import io
 import json
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -65,3 +67,54 @@ def test_every_argument_list_ends_in_a_documented_exit_code(argv):
     assert code in (0, 1, 2)
     if out is not None and "--json" in argv:
         json.loads(out.getvalue())
+
+
+# tokens whose parse differs most between parsers: help and its prefix, abbreviated and attached options,
+# the end of options, a negative number, a format option before the command, a second command, a leftover
+EDGE_TOKENS = ["-h", "--he", "--eig", "--max-dim=5", "--", "-2", "--json", "spectrum", "extra"]
+
+
+@st.composite
+def argv_lists_with_edge_tokens(draw):
+    argv = draw(argv_lists())
+    for token in draw(st.lists(st.sampled_from(EDGE_TOKENS), max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _outcome(call, argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _two_parses(argv) -> int:
+    """The top-level parser, which calls the command's parser, then the answer: main before it parsed once."""
+    args = cli.build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return cli._answer(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv_lists_with_edge_tokens())
+@example([])
+@example(["-h"])
+@example(["spectrum", "-h"])
+@example(["spectrum", "--he"])
+@example(["spectrum", "8", "3", "--eig"])
+@example(["spectrum", "8", "3", "--max-dim=5"])
+@example(["spectrum", "--", "8", "3"])
+@example(["spectrum", "-2", "3"])
+@example(["--json", "spectrum", "8", "3"])
+@example(["spectrum", "8", "3", "extra"])
+@example(["nonsense"])
+def test_one_parse_answers_as_two_parses_did(argv):
+    assert _outcome(cli.main, argv) == _outcome(_two_parses, argv)

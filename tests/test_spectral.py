@@ -442,8 +442,8 @@ def test_char_poly_check_reads_only_the_monomial_matrix(monkeypatch):
     real = linalg.char_poly
     monkeypatch.setattr(linalg, "char_poly", lambda rows: seen.append(rows) or real(rows))
     assert char_poly_check(7, 3)
-    # M itself, not the cached 2M, whose larger coefficients can need a larger prime
-    assert seen == [t_matrix(7, 3, basis="monomial").entries]
+    # M itself by value, not the cached 2M, whose larger coefficients can need a larger prime
+    assert [list(map(list, rows)) for rows in seen] == [list(map(list, t_matrix(7, 3, basis="monomial").entries))]
 
 
 def test_char_poly_check_never_straightens(monkeypatch, cold_caches):
@@ -460,6 +460,10 @@ def test_char_poly_small_cases():
     a = [[Fraction(2), Fraction(2)], [Fraction(1), Fraction(1)]]
     assert linalg.char_poly(a) == [1, -3, 0]
     assert linalg.poly_from_roots([Fraction(0), Fraction(3)]) == [1, -3, 0]
+    # int entries and int roots need no Fraction on the way in; the roots' coefficients stay ints
+    assert linalg.char_poly([[2, 2], [1, 1]]) == [1, -3, 0]
+    assert linalg.char_poly([[1, Fraction(1, 2)], [Fraction(1, 2), 1]]) == [1, -2, Fraction(3, 4)]
+    assert [type(c) for c in linalg.poly_from_roots([0, 3])] == [int, int, int]
 
 
 @settings(max_examples=200, deadline=None)
