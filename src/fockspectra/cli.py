@@ -154,14 +154,8 @@ def _run_spectrum(args) -> tuple:
             if args.eigenvectors:
                 item["eigenvector"] = poly_payload(e.eigenvector)
             entries.append(item)
-        return {
-            "d": d,
-            "ell": ell,
-            "eigenvalues": list(report.eigenvalues),
-            "dominant": report.dominant,
-            "has_zero": report.has_zero,
-            "entries": entries,
-        }
+        return {"d": d, "ell": ell, "eigenvalues": list(report.eigenvalues), "dominant": report.dominant,
+                "has_zero": report.has_zero, "entries": entries}
 
     def human() -> str:
         lines = [
@@ -403,6 +397,11 @@ _COMMANDS = (  # name, runner, help, integer positionals, whether the runner als
 CSV_COMMANDS = tuple(name for name, *_, has_csv in _COMMANDS if has_csv)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:  # argparse's swallows a closed stdout's OSError; this raises it in main
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged.
@@ -418,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"refuse components above this dimension (default {DEFAULT_MAX_DIM})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockspectra",
         description="Exact spectra of the degree/length-preserving operator on symmetric functions.",
     )
@@ -444,16 +443,16 @@ def _params_of(args: argparse.Namespace) -> dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    limit = sys.get_int_max_str_digits()
     # One parse per request.  The top-level parser has only -h, and its subparsers action (nargs PARSER) hands every
     # token after the command name to that command's parser, so called directly it parses the same tokens.  An empty
     # list, -h, an unknown command or leftover tokens go to the top-level parser for its usage, help and errors.
-    command = build_parser().commands.get(argv[0]) if argv else None
-    args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if command else (None, None)
-    if command is None or rest:
-        args = build_parser().parse_args(argv)  # integer arguments keep Python's digit limit
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # exact results print in full, however many digits they have
     try:
+        own = build_parser().commands.get(argv[0]) if argv else None  # the command's own parser
+        args, rest = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if own else (None, None)
+        if own is None or rest:
+            args = build_parser().parse_args(argv)  # integer arguments keep Python's digit limit
+        sys.set_int_max_str_digits(0)  # exact results print in full, however many digits they have
         code = _answer(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code

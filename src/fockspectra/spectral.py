@@ -7,11 +7,10 @@ element to itself plus strictly earlier elements and its matrix comes out
 upper triangular; the diagonal carries the spectrum.  Both matrices of T
 are held as 2T in ints, in sparse columns, and halved into Fractions only at
 the public edge.  The product-basis one is built without expanding products
-into monomials: each column is the closed form of 2T on a basis product, each
-inadmissible product in it straightened into the basis
-(transfer.straighten_product) in ints.  Its only linear solves are the pair
-straightenings, each modulo a prime on the products with at most two factors
-of an irregular pair's component.  Eigenvalues are computed from the index
+into monomials: the closed forms of 2T on the basis products, straightened into
+the basis together (transfer.straighten_combinations), whose only linear solves
+are those of the distinct irregular pairs, on the products with at most two
+factors of each pair's component.  Eigenvalues are computed from the index
 sequences by
 
     lambda = 1/2 * sum_i (l_i - 1)(2 d_i - l_i)
@@ -37,8 +36,8 @@ from . import linalg
 from .errors import ConsistencyError
 from .genfun import GProduct, expand_combination
 from .partitions import admissible_sequences
-from .poly import Monomial, Polynomial, collect, mono_norm_sq, monomial_basis
-from .transfer import _twice_t_monomial, _twice_t_structural, straighten_product
+from .poly import Monomial, Polynomial, mono_norm_sq, monomial_basis
+from .transfer import _twice_t_monomial, _twice_t_structural, straighten_combinations
 
 BasisLabel = Union[Monomial, GProduct]
 
@@ -47,10 +46,6 @@ class ExactMatrix(NamedTuple):
     entries: tuple[tuple[Fraction, ...], ...]
     row_labels: tuple[BasisLabel, ...]
     col_labels: tuple[BasisLabel, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 class SpectrumEntry(NamedTuple):
@@ -111,9 +106,8 @@ def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[tuple[int, in
         labels = monomial_basis(d, ell)
         images = (_twice_t_monomial(m) for m in labels)
     elif basis == "gbasis":
-        labels, memo = s_basis(d, ell), {}
-        images = (collect((r, c * cr) for q, c in _twice_t_structural(p).items()
-                          for r, cr in straighten_product(q, memo).items()) for p in labels)
+        labels = s_basis(d, ell)
+        images = straighten_combinations([_twice_t_structural(p) for p in labels])
     else:
         raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
     index = {label: i for i, label in enumerate(labels)}
@@ -181,15 +175,11 @@ def spectrum(d: int, ell: int, with_eigenvectors: bool = False) -> SpectrumRepor
     ConsistencyError.
     """
     basis, values, order = _certified_spectrum(d, ell)
-    vectors = [None] * len(basis)
-    if with_eigenvectors:
-        vectors = [fn.polynomial for fn in eigenbasis(d, ell)]
+    vectors = [fn.polynomial for fn in eigenbasis(d, ell)] if with_eigenvectors else [None] * len(basis)
     entries = tuple(SpectrumEntry(values[i], basis[i], vec) for i, vec in zip(order, vectors))
     dominant = dominant_eigenvalue(d, ell)
     if max(values) != dominant:
-        raise ConsistencyError(
-            f"max eigenvalue {max(values)} != dominant formula {dominant} on ({d},{ell})"
-        )
+        raise ConsistencyError(f"max eigenvalue {max(values)} != dominant formula {dominant} on ({d},{ell})")
     zero_law = has_zero_eigenvalue(d, ell)
     if (0 in values) != zero_law:
         raise ConsistencyError(f"zero-eigenvalue law violated on component ({d},{ell})")

@@ -2,24 +2,23 @@
 
     T = 1/2 * sum over a+b = p+q (all >= 1) of  x_a x_b d/dx_p d/dx_q
 
-in two realizations: directly on polynomials, and through its closed-form action
-on products of the generators g(d, l), which validates only its input and builds
-only the terms whose generators are nonzero, each put straight into canonical
-order.  Both count each distinct term once and sum through poly.collect, in
-integers, as 2T: on a monomial, each unordered pair of variables and each
-unordered split of their sum; on a product, each ordered pair of factor kinds.
-Also the straightening of irregular two-factor products into regular ones, by
-genfun's one solve, and of any product into the basis of admissible products,
-both in ints where the pair coefficients are ints (straighten_pair returns
-them as Fractions), and the alternating product identity used to
-cross-check that straightening exists, both on genfun's scaled expansions.
+in two realizations, each counting every distinct term once and summing in
+integers, as 2T, through poly.collect: on a monomial, each unordered pair of
+variables and each unordered split of their sum; on a product of generators
+g(d, l) in closed form, each ordered pair of factor kinds, building only the
+terms whose generators are nonzero, each put straight into canonical order.
+Also the straightening of irregular pairs into regular ones by genfun's one
+solve, of combinations of products into the basis of admissible products in
+one sweep, in ints where the pair coefficients are ints (straighten_pair
+returns them as Fractions), and the alternating product identity that
+cross-checks straightening, both on genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, insort
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -29,7 +28,7 @@ from typing import Iterable
 from . import genfun
 from .errors import ConsistencyError
 from .genfun import GCombination, GIndex, GProduct, g_value_is_zero, nonzero_factors, sorted_product
-from .partitions import is_regular_pair
+from .partitions import is_regular_pair, product_sort_key
 from .poly import Monomial, Polynomial, collect
 
 
@@ -63,8 +62,9 @@ def _twice_t_monomial(m: Monomial) -> dict[Monomial, int]:
 def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     """Closed-form action of T on a product of generators.
 
-    The factor sequence is used in the order given (the action is valid for
-    any ordering); products in the result are returned in canonical form.
+    The factors are validated here (g(0,0) dropped, a vanishing one raises
+    ValueError) and used in the order given (the action is valid for any
+    ordering); products in the result are returned in canonical form.
     With P = g(d1,l1)...g(dk,lk):
 
         T P = sum_i (l_i - 1)(d_i - l_i/2) P
@@ -77,22 +77,22 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     1 <= p <= d_j - l_j + 1 when l_j >= 2, and p = d_j alone when l_j = 1,
     which merges the pair into one factor (d_i + d_j, l_i + 1).  _twice_t_structural sums them as 2T.
     """
-    return {q: Fraction(c, 2) for q, c in _twice_t_structural(factors).items()}
+    return {q: Fraction(c, 2) for q, c in _twice_t_structural(nonzero_factors(factors)).items()}
 
 
 def _twice_t_structural(factors: Iterable[GIndex]) -> dict[GProduct, int]:
-    """2T of a product as {canonical product: int}; only the input is validated.
+    """2T of a product of nonzero factors, in any order, as {canonical product: int}.
     Each ordered pair of factor kinds (s, t) acts once, weighted by the number
     of positions i < j holding s then t in the order given (canonical input
     with distinct factors: each pair of places once), and each term gets its
     new factors by bisection into the canonical rest of the product."""
-    work = nonzero_factors(factors)
+    work = tuple(factors)
     canon = sorted_product(work)
     big = 1 + sum(ell for _, ell in work)  # above every length: ell - big * d sorts as pair_sort_key
     keys = [ell - big * d for d, ell in canon]
     terms = [(canon, sum((ell - 1) * (2 * d - ell) for d, ell in work))]
     append = terms.append
-    distinct = canon == tuple(work) and len(set(canon)) == len(canon)  # places i < j, else kinds by first place
+    distinct = canon == work and len(set(canon)) == len(canon)  # places i < j, else kinds by first place
     places = combinations(range(len(canon)) if distinct else [canon.index(f) for f in work], 2)
     for (i, j), count in zip(places, repeat(1)) if distinct else Counter(places).items():
         (di, li), (dj, lj) = canon[i], canon[j]
@@ -149,35 +149,45 @@ def _straighten_pair(d1: int, l1: int, d2: int, l2: int) -> dict[GProduct, int]:
     return {product: c for product, c in zip(products, coords) if c}
 
 
-def straighten_product(product: GProduct, memo: dict[GProduct, dict]) -> dict[GProduct, int]:
-    """Coordinates of a canonical product in the basis of admissible products.
-
-    An admissible product is its own coordinate vector, {product: 1}.
-    Otherwise its first irregular adjacent pair is replaced by that pair's
-    straightening, each resulting product is re-canonicalised and
-    straightened in turn, and the results are summed, in ints where the
-    pair coefficients are ints.  memo keeps the results for
-    irregular products (pairs included) for as long as the caller holds it;
-    the returned combinations must not be modified.
-    """
-    if product in memo:
-        return memo[product]
-    for i in range(len(product) - 1):
-        (d1, l1), (d2, l2) = product[i], product[i + 1]
-        if not is_regular_pair(d1, l1, d2, l2):
-            break
-    else:
-        return {product: 1}
-    if len(product) == 2:
-        out = _straighten_pair(d1, l1, d2, l2)
-    else:
-        head, tail = product[:i], product[i + 2 :]
-        out = collect(
-            (q, c * cq)
-            for pair, c in straighten_product(product[i : i + 2], memo).items()
-            for q, cq in straighten_product(sorted_product(head + pair + tail), memo).items()
-        )
-    memo[product] = out
+def straighten_combinations(combinations: list[dict[GProduct, int]]) -> list[dict[GProduct, int]]:
+    """Coordinates of each combination of canonical products in the basis of
+    admissible products, in one sweep that takes the latest pending product in
+    basis order.  An admissible product is final; any other has its first
+    irregular adjacent pair straightened (each distinct pair solved once per
+    call) and passes its row, times each pair coefficient, to the canonical
+    products that result, each required to sort strictly before it (else ConsistencyError)."""
+    out: list[dict[GProduct, int]] = [{} for _ in combinations]
+    rows: dict[GProduct, dict[int, int]] = {}  # product not yet taken: {combination index: coefficient}
+    for k, comb in enumerate(combinations):
+        for q, c in comb.items():
+            rows.setdefault(q, {})[k] = c
+    pending = sorted((product_sort_key(q), q) for q in rows)
+    solved: dict[GProduct, dict[GProduct, int]] = {}
+    while pending:
+        key, product = pending.pop()
+        row = rows.pop(product)
+        for i in range(len(product) - 1):
+            (d1, l1), (d2, l2) = product[i], product[i + 1]
+            if not is_regular_pair(d1, l1, d2, l2):
+                break
+        else:
+            for k, c in row.items():
+                if c:
+                    out[k][product] = c
+            continue
+        head, pair, tail = product[:i], product[i : i + 2], product[i + 2 :]
+        if pair not in solved:
+            solved[pair] = _straighten_pair(d1, l1, d2, l2)
+        for result, c in solved[pair].items():
+            q = sorted_product(head + result + tail) if head or tail else result  # a pair's results are canonical
+            target = rows.get(q)
+            if target is None:  # new, or taken already: only an earlier one is surely taken after all that reach it
+                if product_sort_key(q) >= key:
+                    raise ConsistencyError(f"straightening {product} reached {q}, which does not precede it")
+                target = rows[q] = {}
+                insort(pending, (product_sort_key(q), q))
+            for k, ck in row.items():
+                target[k] = target[k] + c * ck if k in target else c * ck
     return out
 
 

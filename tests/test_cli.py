@@ -350,11 +350,14 @@ def test_verify_canonicalises_each_product_once(monkeypatch, cold_caches):
         monkeypatch.setattr(genfun, name, wrapper)
         monkeypatch.setattr(transfer, name, wrapper)
     assert all(c["status"] == "pass" for c in cli._verify_checks(8))
-    # one sort per product taken in, where its factors are validated: the terms of T are
-    # built canonical by bisection (1898 sorts when each term was sorted, 3356 when the
-    # structural check canonicalised each term again before reading the store; 2305
-    # validations when each term of T was validated again)
-    assert calls == {"sorted_product": 525, "nonzero_factors": 525}
+    # one sort per product taken in: the terms of T are built canonical by bisection (1898
+    # sorts when each term was sorted, 3356 when the structural check canonicalised each term
+    # again before reading the store).  Factors are validated only at the public edge: the
+    # closed form takes the products of s_basis and spanning_products, nonzero already, as
+    # they are; the 118 validations left are expand_combination's, for g(d, l) in the dominant
+    # check and the alternating identity's combinations (525 when the closed form validated
+    # its input too, 2305 when each term of T was validated again)
+    assert calls == {"sorted_product": 525, "nonzero_factors": 118}
 
 
 def test_verify_applies_t_to_each_monomial_once(monkeypatch, cold_caches):
@@ -585,6 +588,23 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
     finally:
         os.close(write_end)
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    assert (result.returncode, result.stderr) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["spectrum", "-h"]])
+def test_help_into_a_closed_stdout_exits_2_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its write of the help fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "fockspectra", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(fockspectra.__file__).parents[1],
+        )
+    finally:
+        os.close(write_end)
     assert (result.returncode, result.stderr) == (2, "")
 
 

@@ -22,11 +22,12 @@ from fockspectra import (
     straighten_pair,
     x,
 )
-from fockspectra import genfun, linalg, transfer
+from fockspectra import genfun, linalg, spectral, transfer
 from fockspectra.errors import ConsistencyError
 from fockspectra.genfun import canonical_product, expand_combination
 from fockspectra.partitions import pair_sort_key
-from fockspectra.transfer import straighten_product
+from fockspectra.poly import collect
+from fockspectra.transfer import straighten_combinations
 
 import oracles
 
@@ -154,16 +155,19 @@ def test_structural_is_half_the_integer_core():
 
 
 def test_structural_core_equals_the_index_pair_reference():
-    # canonical order, reversed, and shuffled with the identity factor g(0,0) put in
+    # canonical order, reversed and shuffled; the identity factor g(0,0) only through the
+    # public call, which validates the factors before the core sees them
     rng = random.Random(25)
     count = 0
     for d in range(1, 13):
         for ell in range(1, d + 1):
             for product in spanning_products(d, ell):
-                shuffled = [*product, (0, 0)]
+                shuffled = list(product)
                 rng.shuffle(shuffled)
                 for order in (product, product[::-1], shuffled):
                     assert transfer._twice_t_structural(order) == oracles.twice_t_structural_reference(order), order
+                halved = {q: Fraction(c, 2) for q, c in oracles.twice_t_structural_reference(shuffled).items()}
+                assert apply_t_structural([(0, 0), *shuffled]) == halved, shuffled
                 count += 1
     assert count == 3461
 
@@ -288,28 +292,52 @@ def test_columns_singular_modulo_a_prime_are_solved_modulo_the_next(monkeypatch,
         genfun._solve(4, 2, 2, b)
 
 
-def test_straighten_product_round_trip():
+def test_straighten_combinations_round_trip():
+    # every spanning product of a component straightened in one sweep, each as its own
+    # combination and all of them in one more: combinations sharing a sweep stay apart
     count = 0
     for d in range(1, 11):
         for ell in range(1, d + 1):
-            basis = set(s_basis(d, ell))
-            for p in spanning_products(d, ell):
-                comb = straighten_product(p, {})
-                assert set(comb) <= basis, p
+            basis, products = set(s_basis(d, ell)), spanning_products(d, ell)
+            weighted = {p: j + 1 for j, p in enumerate(products)}
+            *combs, together = straighten_combinations([*({p: 1} for p in products), weighted])
+            for p, comb in zip(products, combs):
+                assert set(comb) <= basis and all(comb.values()), p
                 assert expand_combination(comb) == g_product_expand(p), p
                 count += 1
+            assert together == collect((q, (j + 1) * c) for j, comb in enumerate(combs) for q, c in comb.items())
     assert count == 1123
 
 
-def test_straighten_product_shares_its_memo():
-    memo = {}
-    product = ((2, 1), (2, 1), (2, 1))
-    comb = straighten_product(product, memo)
-    assert memo[product] == comb
-    assert memo[((2, 1), (2, 1))] == straighten_pair(2, 1, 2, 1)
-    assert straighten_product(product, memo) is comb
-    assert straighten_product(((4, 1), (1, 1)), memo) == {((4, 1), (1, 1)): 1}
-    assert ((4, 1), (1, 1)) not in memo
+@pytest.mark.parametrize("mutant", ["unchanged", "swapped"])
+@pytest.mark.parametrize("component", [(9, 3), (12, 4)])
+def test_a_pair_result_that_does_not_precede_its_product_is_refused(monkeypatch, cold_caches, mutant, component):
+    # each rewrite must land strictly earlier in basis order, or the sweep could take a product twice
+    def straighten_pair(d1, l1, d2, l2):
+        return {((d1, l1), (d2, l2)) if mutant == "unchanged" else ((d2, l2), (d1, l1)): 1}
+
+    monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
+    with pytest.raises(ConsistencyError, match="which does not precede it"):
+        spectral.t_matrix(*component)
+
+
+def test_each_distinct_irregular_pair_is_solved_once_per_sweep(monkeypatch, cold_caches):
+    solved, real = [], transfer._straighten_pair
+
+    def straighten_pair(*pair):
+        solved.append(pair)
+        return real(*pair)
+
+    monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
+    for d, ell in [(12, 4), (18, 6)]:
+        solved.clear()
+        combinations = [transfer._twice_t_structural(p) for p in s_basis(d, ell)]
+        straighten_combinations(combinations)
+        assert solved and len(set(solved)) == len(solved), (d, ell)
+        assert not any(is_regular_pair(*pair) for pair in solved), (d, ell)
+        # the same pairs again in a second sweep: nothing is kept between calls
+        straighten_combinations(combinations)
+        assert solved[: len(solved) // 2] == solved[len(solved) // 2 :], (d, ell)
 
 
 def test_alternating_identity_residual_base_case():
