@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from . import genfun, partitions, spectral, transfer
 from .errors import ConsistencyError
 from .genfun import GCombination, gcombination_str, gproduct_str
-from .poly import Polynomial, mono_norm_sq, mono_str, monomial_basis, rational_str
+from .poly import Polynomial, Scalar, mono_norm_sq, mono_str, monomial_basis, rational_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,7 +43,7 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # serialization (stable JSON payloads)
 
-def fraction_str(q: Fraction) -> str:
+def fraction_str(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -145,7 +145,7 @@ def _parse_partition_arg(text: str) -> tuple[int, ...]:
 
 def _run_spectrum(args) -> tuple:
     d, ell = _component(args)
-    report = spectral.spectrum(d, ell, with_eigenvectors=args.eigenvectors)
+    report = spectral.spectrum(d, ell, with_eigenvectors=args.eigenvectors and not args.csv)  # CSV shows none
 
     def result() -> dict:
         entries = []
@@ -235,16 +235,16 @@ def _run_hooks(args) -> tuple:
 
 def _run_tmatrix(args) -> tuple:
     d, ell = _component(args)
-    columns = spectral._t_matrix_entries(d, ell, args.basis)  # of 2T, as spectral.t_matrix reads them
-    labels = monomial_basis(d, ell) if args.basis == "monomial" else spectral.s_basis(d, ell)
+    columns = spectral._t_matrix_entries(d, ell, args.basis)  # as spectral.t_matrix reads them
+    labels = spectral.basis_labels(d, ell, args.basis)
     label = mono_str if args.basis == "monomial" else gproduct_str
 
-    def rows(render) -> list[list[str]]:  # one shared zero string, one Fraction per nonzero entry
-        zero = render(Fraction(0))
+    def rows(render) -> list[list[str]]:  # one shared zero string; ints render as Fractions do
+        zero = render(0)
         out = [[zero] * len(columns) for _ in columns]
         for j, column in enumerate(columns):
             for i, c in column:
-                out[i][j] = render(Fraction(c, 2))
+                out[i][j] = render(c)
         return out
 
     def result() -> dict:
@@ -296,7 +296,7 @@ def _verify_checks(max_d: int) -> list[dict]:
         return Fraction(a, b) if a % b else a // b
 
     def coordinates():  # one component at a time: its products, with its state built once, dropped at the next
-        for d, ell in pairs:  # K[r, m] = N(r) 2M[r, m] / N(m) on monomial indices, N = mono_norm_sq; never rounded
+        for d, ell in pairs:  # K[r, m] = N(r) M[r, m] / N(m) on monomial indices, N = mono_norm_sq; never rounded
             monos = monomial_basis(d, ell)
             index, norms = {m: i for i, m in enumerate(monos)}, [mono_norm_sq(m) for m in monos]
             image_of = [[(i, exact_quotient(norms[i] * c, nm)) for i, c in column]
@@ -311,12 +311,12 @@ def _verify_checks(max_d: int) -> list[dict]:
             for p in genfun.spanning_products(d, ell):
                 yield p, len(monos), image_of, scaled
 
-    def structural(p, n, image_of, scaled):  # sum of F_m K[., m] over p's terms, against sum of c F_q over 2T(p)
+    def structural(p, n, image_of, scaled):  # sum of F_m K[., m] over p's terms, against sum of c F_q over T(p)
         direct, closed = [0] * n, [0] * n
         for m, f in scaled(p):
             for r, k in image_of[m]:
                 direct[r] += f * k
-        for q, c in transfer._twice_t_structural(p).items():
+        for q, c in transfer._t_structural(p).items():
             for r, f in scaled(q):
                 closed[r] += c * f
         if direct != closed:

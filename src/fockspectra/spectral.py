@@ -5,12 +5,13 @@ The product basis is ordered descending ("larger degree first, then smaller
 length", extended lexicographically), so the action of T sends each basis
 element to itself plus strictly earlier elements and its matrix comes out
 upper triangular; the diagonal carries the spectrum.  Both matrices of T
-are held as 2T in ints, in sparse columns, and halved into Fractions only at
-the public edge.  The product-basis one is built without expanding products
-into monomials: the closed forms of 2T on the basis products, straightened into
-the basis together (transfer.straighten_combinations), whose only linear solves
-are those of the distinct irregular pairs, on the products with at most two
-factors of each pair's component.  Eigenvalues are computed from the index
+are held in T's own integer coefficients, in sparse columns, and wrapped as
+Fractions only at the public edge.  The product-basis one is built without
+expanding products into monomials: the closed forms of T on the basis
+products, straightened into the basis together
+(transfer.straighten_combinations), whose only linear solves are those of the
+distinct irregular pairs, on the products with at most two factors of each
+pair's component.  Eigenvalues are computed from the index
 sequences by
 
     lambda = 1/2 * sum_i (l_i - 1)(2 d_i - l_i)
@@ -37,7 +38,7 @@ from .errors import ConsistencyError
 from .genfun import GProduct, expand_combination
 from .partitions import admissible_sequences
 from .poly import Monomial, Polynomial, mono_norm_sq, monomial_basis
-from .transfer import _twice_t_monomial, _twice_t_structural, straighten_combinations
+from .transfer import _t_monomial, _t_structural, straighten_combinations
 
 BasisLabel = Union[Monomial, GProduct]
 
@@ -98,18 +99,21 @@ def sequence_eigenvalue(sequence: GProduct) -> int:
     return twice // 2
 
 
+def basis_labels(d: int, ell: int, basis: str) -> tuple[BasisLabel, ...]:
+    """The labels of the named basis of the (d, ell) component: "monomial" or "gbasis"."""
+    if basis == "monomial":
+        return monomial_basis(d, ell)
+    if basis == "gbasis":
+        return s_basis(d, ell)
+    raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
+
+
 @lru_cache(maxsize=None)  # read again by t_matrix, spectrum, eigenbasis and the verify checks
 def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """2T on the (d, ell) component in ints, as sparse columns: column j holds a
-    (row index, value) pair per nonzero entry of 2T of the j-th basis element, rows ascending."""
-    if basis == "monomial":
-        labels = monomial_basis(d, ell)
-        images = (_twice_t_monomial(m) for m in labels)
-    elif basis == "gbasis":
-        labels = s_basis(d, ell)
-        images = straighten_combinations([_twice_t_structural(p) for p in labels])
-    else:
-        raise ValueError(f"unknown basis {basis!r}; expected 'monomial' or 'gbasis'")
+    """T on the (d, ell) component in ints, as sparse columns: column j holds a
+    (row index, value) pair per nonzero entry of T of the j-th basis element, rows ascending."""
+    labels = basis_labels(d, ell, basis)
+    images = map(_t_monomial, labels) if basis == "monomial" else straighten_combinations([*map(_t_structural, labels)])
     index = {label: i for i, label in enumerate(labels)}
     return tuple(tuple(sorted((index[r], c) for r, c in image.items() if c)) for image in images)
 
@@ -122,8 +126,8 @@ def t_matrix(d: int, ell: int, basis: str = "gbasis") -> ExactMatrix:
     rows = [[Fraction(0)] * len(columns) for _ in columns]
     for j, column in enumerate(columns):
         for i, c in column:
-            rows[i][j] = Fraction(c, 2)
-    labels: tuple[BasisLabel, ...] = monomial_basis(d, ell) if basis == "monomial" else s_basis(d, ell)
+            rows[i][j] = Fraction(c)
+    labels = basis_labels(d, ell, basis)
     return ExactMatrix(entries=tuple(map(tuple, rows)), row_labels=labels, col_labels=labels)
 
 
@@ -132,8 +136,7 @@ def verify_triangular(d: int, ell: int) -> tuple[bool, tuple[Union[int, Fraction
     _require_component(d, ell)
     columns = _t_matrix_entries(d, ell, "gbasis")
     ok = all(i <= j for j, column in enumerate(columns) for i, _ in column)
-    halves = (Fraction(next((c for i, c in column if i == j), 0), 2) for j, column in enumerate(columns))
-    return ok, tuple(v.numerator if v.denominator == 1 else v for v in halves)
+    return ok, tuple(next((c for i, c in column if i == j), 0) for j, column in enumerate(columns))
 
 
 def dominant_eigenvalue(d: int, ell: int) -> int:
@@ -192,8 +195,8 @@ def eigenbasis(d: int, ell: int) -> tuple[Eigenfunction, ...]:
 
     The vector for a position k with U_kk = lambda is 1 at k and 0 at the
     other lambda-positions and after k; each earlier entry i is
-    sum_{i<j<=k} 2U_ij v_j / 2(lambda - U_ii), summed column by column from
-    the int columns of 2U.  These are the reduced kernel vectors of
+    sum_{i<j<=k} U_ij v_j / (lambda - U_ii), summed column by column from
+    the int columns of U.  These are the reduced kernel vectors of
     U - lambda I.  A nonzero sum on a row with U_ii = lambda means lambda is
     defective and raises ConsistencyError."""
     basis, values, order = _certified_spectrum(d, ell)
@@ -203,10 +206,10 @@ def eigenbasis(d: int, ell: int) -> tuple[Eigenfunction, ...]:
         lam = values[k]
         vec = [Fraction(0)] * len(basis)
         vec[k] = Fraction(1)
-        acc = [Fraction(0)] * (k + 1)  # acc[i]: sum of 2U_ij v_j over the positions j done so far
+        acc = [Fraction(0)] * (k + 1)  # acc[i]: sum of U_ij v_j over the positions j done so far
         for j in reversed(range(k + 1)):
             if values[j] != lam:
-                vec[j] = acc[j] / (2 * (lam - values[j]))
+                vec[j] = acc[j] / (lam - values[j])
             elif acc[j]:
                 raise ConsistencyError(f"eigenvalue {lam} on ({d},{ell}) is defective")
             for i, c in columns[j] if vec[j] else ():  # rows i <= j; acc[j] is read already
@@ -251,7 +254,7 @@ def orthogonal_eigenbasis(d: int, ell: int) -> tuple[OrthogonalEigenfunction, ..
 
 def verify_self_adjoint(d: int, ell: int) -> bool:
     """Check M^T G = G M exactly, M the monomial-basis matrix of T and G the diagonal Gram
-    matrix N = mono_norm_sq: N_i 2M_ij = N_j 2M_ji over the nonzero entries of either side."""
+    matrix N = mono_norm_sq: N_i M_ij = N_j M_ji over the nonzero entries of either side."""
     _require_component(d, ell)
     weights = [mono_norm_sq(m) for m in monomial_basis(d, ell)]
     columns = _t_matrix_entries(d, ell, "monomial")
@@ -262,13 +265,11 @@ def verify_self_adjoint(d: int, ell: int) -> bool:
 def char_poly_check(d: int, ell: int) -> bool:
     """Compare the characteristic polynomial of the monomial-basis matrix
     with the product of (x - lambda) over the formula eigenvalues of the
-    basis; neither side goes through the product-basis matrix.  It halves the
-    cached 2M into M, in ints where an entry is even: doubling multiplies the
-    k-th coefficient by 2^k, which can move char_poly to a larger and slower prime."""
+    basis; neither side goes through the product-basis matrix."""
     _require_component(d, ell)
     columns = _t_matrix_entries(d, ell, "monomial")
     rows = [[0] * len(columns) for _ in columns]
     for j, column in enumerate(columns):
         for i, c in column:
-            rows[i][j] = Fraction(c, 2) if c % 2 else c // 2
+            rows[i][j] = c
     return linalg.char_poly(rows) == linalg.poly_from_roots([sequence_eigenvalue(p) for p in s_basis(d, ell)])

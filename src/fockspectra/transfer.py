@@ -2,16 +2,16 @@
 
     T = 1/2 * sum over a+b = p+q (all >= 1) of  x_a x_b d/dx_p d/dx_q
 
-in two realizations, each counting every distinct term once and summing in
-integers, as 2T, through poly.collect: on a monomial, each unordered pair of
-variables and each unordered split of their sum; on a product of generators
-g(d, l) in closed form, each ordered pair of factor kinds, building only the
-terms whose generators are nonzero, each put straight into canonical order.
-Also the straightening of irregular pairs into regular ones by genfun's one
-solve, of combinations of products into the basis of admissible products in
-one sweep, in ints where the pair coefficients are ints (straighten_pair
-returns them as Fractions), and the alternating product identity that
-cross-checks straightening, both on genfun's scaled expansions.
+in two realizations, each counting every distinct term once and summing T's
+own integer coefficients through poly.collect: on a monomial, each unordered
+pair of variables and each unordered split of their sum; on a product of
+generators g(d, l) in closed form, each ordered pair of factor kinds, building
+only the terms whose generators are nonzero, each put straight into canonical
+order.  Also the straightening of irregular pairs into regular ones by
+genfun's one solve, of combinations of products into the basis of admissible
+products in one sweep, in ints where the pair coefficients are ints
+(straighten_pair returns them as Fractions), and the alternating product
+identity that cross-checks straightening, both on genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect, insort
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import prod
 from typing import Iterable
 
@@ -33,21 +33,20 @@ from .poly import Monomial, Polynomial, collect
 
 
 def apply_t(f: Polynomial) -> Polynomial:
-    """Apply T at the monomial level: c * 2T(m) over the terms c*m of f, from
-    _twice_t_monomial, summed by one collect and halved once."""
-    twice = collect((r, c * k) for m, c in f._terms.items() for r, k in _twice_t_monomial(m).items())
-    return Polynomial._of({r: c / 2 for r, c in twice.items()})
+    """Apply T at the monomial level: c * T(m) over the terms c*m of f, from
+    _t_monomial, summed by one collect."""
+    return Polynomial._of(collect((r, c * k) for m, c in f._terms.items() for r, k in _t_monomial(m).items()))
 
 
-def _twice_t_monomial(m: Monomial) -> dict[Monomial, int]:
-    """2T of one monomial as {monomial: int}.  Each unordered pair {p, q} of its
-    variables acts once, weighted 2 a_p a_q (a_p (a_p - 1) when p = q) for the
+def _t_monomial(m: Monomial) -> dict[Monomial, int]:
+    """T of one monomial as {monomial: int}.  Each unordered pair {p, q} of its
+    variables acts once, weighted a_p a_q (a_p (a_p - 1) / 2 when p = q) for the
     exponents a_k of m, and sends m / (x_p x_q) to each unordered split
     x_a x_b, a + b = p + q, once: doubled when a != b."""
     terms = []
     for i, (p, ap) in enumerate(m):
         for q, aq in m[i:]:
-            w = ap * (ap - 1) if p == q else 2 * ap * aq
+            w = ap * (ap - 1) // 2 if p == q else ap * aq
             if not w:
                 continue
             lowered, n = collect([*m, (p, -1), (q, -1)]), p + q  # m / (x_p x_q)
@@ -75,30 +74,28 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
     leave both nonzero (g(d, l) = 0 unless d >= l >= 1 or d = l = 0) build a
     term: 0 <= p < d_j - l_j when l_i >= 2 in the first sum; in the second,
     1 <= p <= d_j - l_j + 1 when l_j >= 2, and p = d_j alone when l_j = 1,
-    which merges the pair into one factor (d_i + d_j, l_i + 1).  _twice_t_structural sums them as 2T.
+    which merges the pair into one factor (d_i + d_j, l_i + 1).  Every weight
+    is an integer, since l_i - 1 or 2 d_i - l_i is even; _t_structural sums them.
     """
-    return {q: Fraction(c, 2) for q, c in _twice_t_structural(nonzero_factors(factors)).items()}
+    return {q: Fraction(c) for q, c in _t_structural(nonzero_factors(factors)).items()}
 
 
-def _twice_t_structural(factors: Iterable[GIndex]) -> dict[GProduct, int]:
-    """2T of a product of nonzero factors, in any order, as {canonical product: int}.
+def _t_structural(factors: Iterable[GIndex]) -> dict[GProduct, int]:
+    """T of a product of nonzero factors, in any order, as {canonical product: int}.
     Each ordered pair of factor kinds (s, t) acts once, weighted by the number
-    of positions i < j holding s then t in the order given (canonical input
-    with distinct factors: each pair of places once), and each term gets its
-    new factors by bisection into the canonical rest of the product."""
+    of positions i < j holding s then t in the order given, and each term gets
+    its new factors by bisection into the canonical rest of the product."""
     work = tuple(factors)
     canon = sorted_product(work)
     big = 1 + sum(ell for _, ell in work)  # above every length: ell - big * d sorts as pair_sort_key
     keys = [ell - big * d for d, ell in canon]
-    terms = [(canon, sum((ell - 1) * (2 * d - ell) for d, ell in work))]
+    terms = [(canon, sum((ell - 1) * (2 * d - ell) // 2 for d, ell in work))]
     append = terms.append
-    distinct = canon == work and len(set(canon)) == len(canon)  # places i < j, else kinds by first place
-    places = combinations(range(len(canon)) if distinct else [canon.index(f) for f in work], 2)
-    for (i, j), count in zip(places, repeat(1)) if distinct else Counter(places).items():
+    for (i, j), count in Counter(combinations([canon.index(f) for f in work], 2)).items():  # kinds by first place
         (di, li), (dj, lj) = canon[i], canon[j]
         i, j = (i, i + 1) if i == j else (i, j) if i < j else (j, i)
         rest, rest_keys = canon[:i] + canon[i + 1 : j] + canon[j + 1 :], keys[:i] + keys[i + 1 : j] + keys[j + 1 :]
-        down, up = -2 * lj * (lj + 1) * count, 2 * li * (li + 1) * count
+        down, up = -lj * (lj + 1) * count, li * (li + 1) * count
         for p in range(dj - lj if li > 1 else 0):
             a, b = (di + p, li - 1), (dj - p, lj + 1)
             ka, kb = li - 1 - big * (di + p), lj + 1 - big * (dj - p)

@@ -174,17 +174,17 @@ def apply_t_reference(f: Polynomial) -> Polynomial:
     return out / 2
 
 
-def twice_t_structural_reference(factors) -> dict:
-    """2T of a product of generators by its closed form, one pair of
+def t_structural_reference(factors) -> dict:
+    """T of a product of generators by its closed form, one pair of
     positions i < j at a time in the order given, each term sorted into
     canonical order on its own: {canonical product: int}."""
     work = nonzero_factors(factors)
-    terms = [(sorted_product(work), sum((ell - 1) * (2 * d - ell) for d, ell in work))]
+    terms = [(sorted_product(work), sum((ell - 1) * (2 * d - ell) // 2 for d, ell in work))]
     for i, (di, li) in enumerate(work):
         for j in range(i + 1, len(work)):
             dj, lj = work[j]
             others = work[:i] + work[i + 1 : j] + work[j + 1 :]
-            down, up = -2 * lj * (lj + 1), 2 * li * (li + 1)
+            down, up = -lj * (lj + 1), li * (li + 1)
             for p in range(dj - lj if li > 1 else 0):
                 terms.append((sorted_product(others + [(di + p, li - 1), (dj - p, lj + 1)]), down))
             for p in range(1 if lj > 1 else dj, dj - lj + 2):  # p = dj only when lj = 1
@@ -194,12 +194,12 @@ def twice_t_structural_reference(factors) -> dict:
 
 
 def structural_agreement_reference(d: int, ell: int) -> dict:
-    """Whether the closed form of 2T agrees with the monomial-level 2T on
+    """Whether the closed form of T agrees with the monomial-level T on
     each product of spanning_products_reference(d, ell), {product: bool}:
     sum of F_m K[., m] over the product's scaled expansion F against sum of
-    c F_q over 2T of the product, K[r, m] = N(r) 2M[r, m] / N(m) in
+    c F_q over T of the product, K[r, m] = N(r) M[r, m] / N(m) in
     Fractions, N = mono_norm_sq, both sides summed by collect on monomial keys.
-    It reads spectral._t_matrix_entries, transfer._twice_t_structural and
+    It reads spectral._t_matrix_entries, transfer._t_structural and
     genfun._expand_canonical when called, as the verify sweep does."""
     monos = monomial_basis(d, ell)
     norms = [mono_norm_sq(m) for m in monos]
@@ -211,7 +211,7 @@ def structural_agreement_reference(d: int, ell: int) -> dict:
     for p in spanning_products_reference(d, ell):
         direct = collect((r, f * k) for m, f in genfun._expand_canonical(p).items() for r, k in image_of[m])
         closed = collect(
-            (r, c * f) for q, c in transfer._twice_t_structural(p).items() for r, f in genfun._expand_canonical(q).items()
+            (r, c * f) for q, c in transfer._t_structural(p).items() for r, f in genfun._expand_canonical(q).items()
         )
         agrees[p] = direct == closed
     return agrees

@@ -72,6 +72,17 @@ def test_spectrum_csv(capsys):
     assert lines[2] == '3,"g(4,2)"'
 
 
+def test_spectrum_csv_computes_no_eigenvectors(capsys, monkeypatch):
+    # the CSV form holds only the eigenvalue and the sequence; the other forms still read eigenbasis
+    calls, real = [], spectral.eigenbasis
+    monkeypatch.setattr(spectral, "eigenbasis", lambda *component: calls.append(component) or real(*component))
+    code, out, _ = run_cli(capsys, "spectrum", "12", "4", "--csv", "--eigenvectors")
+    assert (code, calls) == (0, [])
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "728d09e051bb38a9"  # as without --eigenvectors
+    assert run_cli(capsys, "spectrum", "12", "4", "--json", "--eigenvectors")[0] == 0
+    assert calls == [(12, 4)]
+
+
 def test_basis_output(capsys):
     code, out, _ = run_cli(capsys, "basis", "4", "2", "--json")
     assert code == 0
@@ -172,15 +183,15 @@ def test_verify_reports_a_spectrum_that_raises(capsys, monkeypatch):
 
 
 def test_verify_catches_a_wrong_structural_coefficient(capsys, monkeypatch):
-    real = transfer._twice_t_structural  # the integer 2T that the structural check reads
+    real = transfer._t_structural  # the integer T that the structural check reads
 
     def perturbed(factors):
         comb = real(factors)
         if tuple(factors) == ((3, 1), (2, 2)):
-            comb[(4, 2), (1, 1)] += 2  # the true doubled coefficient is 4
+            comb[(4, 2), (1, 1)] += 1  # the true coefficient is 2
         return comb
 
-    monkeypatch.setattr(transfer, "_twice_t_structural", perturbed)
+    monkeypatch.setattr(transfer, "_t_structural", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--max-d", "6", "--json")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
@@ -191,15 +202,15 @@ def test_verify_catches_a_wrong_structural_coefficient(capsys, monkeypatch):
 
 def test_verify_catches_a_wrong_image_of_one_monomial(capsys, monkeypatch, cold_caches):
     m = monomial({1: 1, 2: 2})  # x1*x2^2, on the component (5,3)
-    real = spectral._twice_t_monomial  # the binding that builds the monomial-basis matrix
+    real = spectral._t_monomial  # the binding that builds the monomial-basis matrix
 
     def perturbed(mono):
         image = real(mono)
         if mono == m:
-            image[m] = image.get(m, 0) + 2  # 2T(m) + 2m: T(m) + m
+            image[m] = image.get(m, 0) + 1  # T(m) + m
         return image
 
-    monkeypatch.setattr(spectral, "_twice_t_monomial", perturbed)
+    monkeypatch.setattr(spectral, "_t_monomial", perturbed)
     code, out, _ = run_cli(capsys, "verify", "--max-d", "6", "--json")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["result"]["checks"]}
@@ -210,17 +221,17 @@ def test_verify_catches_a_wrong_image_of_one_monomial(capsys, monkeypatch, cold_
 
 
 def test_verify_keeps_a_fractional_monomial_image_exact(capsys, monkeypatch, cold_caches):
-    # T(m) + m/3 puts 2/3 into the doubled scaled image of m: no integer stands in for it
+    # T(m) + m/3 puts 1/3 into the scaled image of m: no integer stands in for it
     m = monomial({1: 1, 2: 2})  # x1*x2^2, on the component (5,3)
-    real = spectral._twice_t_monomial
+    real = spectral._t_monomial
 
     def perturbed(mono):
         image = real(mono)
         if mono == m:
-            image[m] = image.get(m, 0) + Fraction(2, 3)  # 2T(m) + 2m/3
+            image[m] = image.get(m, 0) + Fraction(1, 3)  # T(m) + m/3
         return image
 
-    monkeypatch.setattr(spectral, "_twice_t_monomial", perturbed)
+    monkeypatch.setattr(spectral, "_t_monomial", perturbed)
     code, out, err = run_cli(capsys, "verify", "--max-d", "6", "--json")
     assert (code, err) == (1, "")
     structural = {c["name"]: c for c in json.loads(out)["result"]["checks"]}["structural action agreement"]
@@ -230,8 +241,8 @@ def test_verify_keeps_a_fractional_monomial_image_exact(capsys, monkeypatch, col
 
 
 def _add_to_image(exponents, target_exponents, amount):
-    """spectral._twice_t_monomial with amount added to the coefficient of one monomial in 2T(another)."""
-    real, mono, target = spectral._twice_t_monomial, monomial(exponents), monomial(target_exponents)
+    """spectral._t_monomial with amount added to the coefficient of one monomial in T(another)."""
+    real, mono, target = spectral._t_monomial, monomial(exponents), monomial(target_exponents)
 
     def perturbed(m):
         image = real(m)
@@ -243,8 +254,8 @@ def _add_to_image(exponents, target_exponents, amount):
 
 
 def _add_to_closed_form(product, term, amount):
-    """transfer._twice_t_structural with amount added to the coefficient of term in 2T(product)."""
-    real = transfer._twice_t_structural
+    """transfer._t_structural with amount added to the coefficient of term in T(product)."""
+    real = transfer._t_structural
 
     def perturbed(factors):
         comb = real(factors)
@@ -259,10 +270,10 @@ def _add_to_closed_form(product, term, amount):
     "owner, name, patch",
     [
         (None, None, None),
-        (spectral, "_twice_t_monomial", lambda: _add_to_image({1: 1, 2: 2}, {1: 1, 2: 2}, Fraction(2, 3))),
-        (spectral, "_twice_t_monomial", lambda: _add_to_image({1: 2, 3: 1, 4: 1}, {2: 3, 3: 1}, 1)),
-        (transfer, "_twice_t_structural", lambda: _add_to_closed_form(((3, 1), (2, 2)), ((4, 2), (1, 1)), 2)),
-        (transfer, "_twice_t_structural", lambda: _add_to_closed_form(((4, 1), (3, 2), (2, 1)), ((6, 2), (3, 2)), -1)),
+        (spectral, "_t_monomial", lambda: _add_to_image({1: 1, 2: 2}, {1: 1, 2: 2}, Fraction(1, 3))),
+        (spectral, "_t_monomial", lambda: _add_to_image({1: 2, 3: 1, 4: 1}, {2: 3, 3: 1}, 1)),
+        (transfer, "_t_structural", lambda: _add_to_closed_form(((3, 1), (2, 2)), ((4, 2), (1, 1)), 1)),
+        (transfer, "_t_structural", lambda: _add_to_closed_form(((4, 1), (3, 2), (2, 1)), ((6, 2), (3, 2)), -1)),
     ],
     ids=["unchanged", "fractional-diagonal", "off-diagonal", "closed-form", "closed-form-three-factors"],
 )
@@ -280,10 +291,10 @@ def test_structural_check_fails_exactly_where_the_reference_does(monkeypatch, co
 
 
 def test_verify_builds_k_once_per_component_before_its_products(monkeypatch, cold_caches):
-    # building K reads one norm per monomial of the component, and the check reads 2T(p) once per
+    # building K reads one norm per monomial of the component, and the check reads T(p) once per
     # product: per component, each of its norms once, then its products, then the next component
     events = []
-    real_norm, real_closed = cli.mono_norm_sq, transfer._twice_t_structural
+    real_norm, real_closed = cli.mono_norm_sq, transfer._t_structural
 
     def norm(m):
         events.append(("norm", *bidegree(m)))
@@ -294,7 +305,7 @@ def test_verify_builds_k_once_per_component_before_its_products(monkeypatch, col
         return real_closed(p)
 
     monkeypatch.setattr(cli, "mono_norm_sq", norm)
-    monkeypatch.setattr(transfer, "_twice_t_structural", closed)
+    monkeypatch.setattr(transfer, "_t_structural", closed)
     assert all(c["status"] == "pass" for c in cli._verify_checks(8))
     runs = []  # consecutive equal events, counted
     for event in events:
@@ -314,7 +325,7 @@ def test_verify_holds_one_component_s_state_at_a_time(monkeypatch, cold_caches):
     # at the first product of each component, the state the check built for the one before
     # (K's columns, the index map and the stored expansions) is held by nothing but this test
     held, leaked = {}, []
-    real = transfer._twice_t_structural
+    real = transfer._t_structural
 
     def closed(p):
         component = (sum(d for d, _ in p), sum(ell for _, ell in p))
@@ -328,7 +339,7 @@ def test_verify_holds_one_component_s_state_at_a_time(monkeypatch, cold_caches):
             held[component] = [caller["image_of"], cells["index"].cell_contents, cells["expanded"].cell_contents]
         return real(p)
 
-    monkeypatch.setattr(transfer, "_twice_t_structural", closed)
+    monkeypatch.setattr(transfer, "_t_structural", closed)
     assert all(c["status"] == "pass" for c in cli._verify_checks(6))
     assert len(held) == 21 and leaked == []
 
@@ -371,8 +382,8 @@ def test_verify_applies_t_to_each_monomial_once(monkeypatch, cold_caches):
         return count
 
     monkeypatch.setattr(transfer, "apply_t", counted("apply_t", transfer.apply_t))
-    monkeypatch.setattr(spectral, "_twice_t_monomial", counted("matrix", spectral._twice_t_monomial))
-    monkeypatch.setattr(transfer, "_twice_t_monomial", counted("in apply_t", transfer._twice_t_monomial))
+    monkeypatch.setattr(spectral, "_t_monomial", counted("matrix", spectral._t_monomial))
+    monkeypatch.setattr(transfer, "_t_monomial", counted("in apply_t", transfer._t_monomial))
     assert all(c["status"] == "pass" for c in cli._verify_checks(8))
     components = [(d, ell) for d in range(1, 9) for ell in range(1, d + 1)]
     monomials = [m for d, ell in components for m in monomial_basis(d, ell)]

@@ -103,7 +103,7 @@ def test_spectrum_takes_the_structural_route(monkeypatch, cold_caches):
         factorisations.append(args)
         return real_lu(*args)
 
-    monkeypatch.setattr(spectral, "_twice_t_monomial", monomial_route)
+    monkeypatch.setattr(spectral, "_t_monomial", monomial_route)
     monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     monkeypatch.setattr(genfun, "_expansion_lu", expansion_lu)
@@ -240,7 +240,7 @@ def test_eigenbasis_matches_the_null_space_route():
 
 
 def _edit_flagship_matrix(monkeypatch, edit):
-    """Serve the (12,4) product-basis matrix 2U with edit applied to its
+    """Serve the (12,4) product-basis matrix U with edit applied to its
     columns, each given as a {row index: value} dict."""
     real = spectral._t_matrix_entries
 
@@ -260,7 +260,7 @@ def test_the_certificate_guards_the_back_substitution(monkeypatch):
     i, k = [j for j, v in enumerate(values) if v == 3]
 
     def link(columns):  # U_ik couples the two eigenvalue-3 positions: a Jordan block
-        columns[k][i] = columns[k].get(i, 0) + 2
+        columns[k][i] = columns[k].get(i, 0) + 1
 
     _edit_flagship_matrix(monkeypatch, link)
     assert spectrum(12, 4).eigenvalues.count(3) == 2  # the diagonal is still right
@@ -269,7 +269,7 @@ def test_the_certificate_guards_the_back_substitution(monkeypatch):
     monkeypatch.undo()
 
     def below(columns):  # U_ki = 1
-        columns[i][k] = 2
+        columns[i][k] = 1
 
     _edit_flagship_matrix(monkeypatch, below)
     with pytest.raises(ConsistencyError, match="not upper triangular"):
@@ -402,13 +402,13 @@ X1X1X4, X2X2X2 = poly.monomial({1: 2, 4: 1}), poly.monomial({2: 3})  # two of th
 @pytest.mark.parametrize(
     "component, m, r, change",
     [
-        ((6, 3), X1X1X4, X2X2X2, lambda c: c + 2),  # M[r, m] = 1 where M[m, r] = 0: one side only
+        ((6, 3), X1X1X4, X2X2X2, lambda c: c + 1),  # M[r, m] = 1 where M[m, r] = 0: one side only
         ((5, 3), X1X2X2, X1X1X3, lambda c: 0),  # M[r, m] dropped, M[m, r] kept: one side only
-        ((5, 3), X1X2X2, X1X1X3, lambda c: c + 2),  # both sides present, no longer mirrored
+        ((5, 3), X1X2X2, X1X1X3, lambda c: c + 1),  # both sides present, no longer mirrored
     ],
 )
 def test_self_adjointness_can_fail(monkeypatch, capsys, cold_caches, component, m, r, change):
-    real = spectral._twice_t_monomial  # the binding that builds the monomial-basis matrix
+    real = spectral._t_monomial  # the binding that builds the monomial-basis matrix
 
     def perturbed(mono):
         image = real(mono)
@@ -416,7 +416,7 @@ def test_self_adjointness_can_fail(monkeypatch, capsys, cold_caches, component, 
             image[r] = change(image.get(r, 0))
         return image
 
-    monkeypatch.setattr(spectral, "_twice_t_monomial", perturbed)
+    monkeypatch.setattr(spectral, "_t_monomial", perturbed)
     assert not verify_self_adjoint(*component)
     others = [(d, ell) for d in range(1, 7) for ell in range(1, d + 1) if (d, ell) != component]
     assert all(verify_self_adjoint(*c) for c in others)
@@ -442,8 +442,34 @@ def test_char_poly_check_reads_only_the_monomial_matrix(monkeypatch):
     real = linalg.char_poly
     monkeypatch.setattr(linalg, "char_poly", lambda rows: seen.append(rows) or real(rows))
     assert char_poly_check(7, 3)
-    # M itself by value, not the cached 2M, whose larger coefficients can need a larger prime
+    # M itself by value, the same entries t_matrix holds
     assert [list(map(list, rows)) for rows in seen] == [list(map(list, t_matrix(7, 3, basis="monomial").entries))]
+
+
+def _doubled(core):
+    return lambda arg: {key: 2 * c for key, c in core(arg).items()}
+
+
+def test_both_integer_cores_are_checked_in_the_same_units(monkeypatch, cold_caches):
+    # each realization of T is checked against the eigenvalue formula or against the other,
+    # so a core that computes 2T while the rest reads T fails a check
+    def structural_status():
+        return {c["name"]: c for c in cli._verify_checks(6)}["structural action agreement"]["status"]
+
+    assert spectrum(12, 4).dominant == 30 and structural_status() == "pass" and char_poly_check(12, 4)
+    for cache in cold_caches:
+        cache.cache_clear()
+    doubled = _doubled(transfer._t_structural)
+    monkeypatch.setattr(spectral, "_t_structural", doubled)  # the binding that builds the product-basis matrix
+    with pytest.raises(ConsistencyError, match="disagrees with matrix diagonal"):
+        spectrum(12, 4)
+    monkeypatch.setattr(transfer, "_t_structural", doubled)  # the binding the structural check reads
+    assert structural_status() == "fail"
+    monkeypatch.undo()
+    for cache in cold_caches:
+        cache.cache_clear()
+    monkeypatch.setattr(spectral, "_t_monomial", _doubled(spectral._t_monomial))
+    assert not char_poly_check(12, 4)
 
 
 def test_char_poly_check_never_straightens(monkeypatch, cold_caches):

@@ -53,14 +53,14 @@ def test_matches_reference_operator_on_basis_monomials():
 
 
 
-def test_monomial_core_halved_is_the_reference_operator():
+def test_monomial_core_is_the_reference_operator():
     count = 0
     for d in range(1, 13):
         for ell in range(1, d + 1):
             for m in monomial_basis(d, ell):
-                twice = transfer._twice_t_monomial(m)
-                assert all(type(k) is int for k in twice.values()), m
-                assert Polynomial(twice) / 2 == oracles.apply_t_reference(Polynomial({m: 1})), m
+                image = transfer._t_monomial(m)
+                assert all(type(k) is int for k in image.values()), m
+                assert Polynomial(image) == oracles.apply_t_reference(Polynomial({m: 1})), m
                 count += 1
     assert count == 271
 
@@ -141,17 +141,16 @@ def test_structural_agrees_with_direct_action_exhaustively():
                     assert expand_combination(comb) == direct, order
 
 
-def test_structural_is_half_the_integer_core():
+def test_structural_is_the_integer_core():
     for d in range(1, 11):
         for ell in range(1, d + 1):
             for product in spanning_products(d, ell):
                 for order in (product, product[::-1]):
-                    twice = transfer._twice_t_structural(order)
-                    assert all(type(c) is int for c in twice.values()), order
+                    core = transfer._t_structural(order)
+                    assert all(type(c) is int for c in core.values()), order
                     # a key holding a vanishing factor would expand to nothing and vanish unseen
-                    assert all(q == canonical_product(q) for q in twice), order
-                    halved = {q: Fraction(c, 2) for q, c in twice.items()}
-                    assert apply_t_structural(order) == halved, order
+                    assert all(q == canonical_product(q) for q in core), order
+                    assert apply_t_structural(order) == core, order
 
 
 def test_structural_core_equals_the_index_pair_reference():
@@ -165,9 +164,8 @@ def test_structural_core_equals_the_index_pair_reference():
                 shuffled = list(product)
                 rng.shuffle(shuffled)
                 for order in (product, product[::-1], shuffled):
-                    assert transfer._twice_t_structural(order) == oracles.twice_t_structural_reference(order), order
-                halved = {q: Fraction(c, 2) for q, c in oracles.twice_t_structural_reference(shuffled).items()}
-                assert apply_t_structural([(0, 0), *shuffled]) == halved, shuffled
+                    assert transfer._t_structural(order) == oracles.t_structural_reference(order), order
+                assert apply_t_structural([(0, 0), *shuffled]) == oracles.t_structural_reference(shuffled), shuffled
                 count += 1
     assert count == 3461
 
@@ -331,7 +329,7 @@ def test_each_distinct_irregular_pair_is_solved_once_per_sweep(monkeypatch, cold
     monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
     for d, ell in [(12, 4), (18, 6)]:
         solved.clear()
-        combinations = [transfer._twice_t_structural(p) for p in s_basis(d, ell)]
+        combinations = [transfer._t_structural(p) for p in s_basis(d, ell)]
         straighten_combinations(combinations)
         assert solved and len(set(solved)) == len(solved), (d, ell)
         assert not any(is_regular_pair(*pair) for pair in solved), (d, ell)
