@@ -235,17 +235,10 @@ def _run_hooks(args) -> tuple:
 
 def _run_tmatrix(args) -> tuple:
     d, ell = _component(args)
-    columns = spectral._t_matrix_entries(d, ell, args.basis)  # as spectral.t_matrix reads them
+    # rows(render): the int columns spectral.t_matrix reads, rendered densely; ints render as Fractions do
+    rows = functools.partial(spectral._dense_rows, spectral._t_matrix_entries(d, ell, args.basis))
     labels = spectral.basis_labels(d, ell, args.basis)
     label = mono_str if args.basis == "monomial" else gproduct_str
-
-    def rows(render) -> list[list[str]]:  # one shared zero string; ints render as Fractions do
-        zero = render(0)
-        out = [[zero] * len(columns) for _ in columns]
-        for j, column in enumerate(columns):
-            for i, c in column:
-                out[i][j] = render(c)
-        return out
 
     def result() -> dict:
         return {"d": d, "ell": ell, "basis": args.basis, "labels": list(labels), "rows": rows(fraction_str)}

@@ -18,7 +18,7 @@ _expansion_lu keeps, per component and bound on the factor count, one sparse
 LU (linalg.lu_factor) modulo a prime q of the columns of E whose products have
 at most that many factors, built from their scaled terms (row m scaled by
 mono_norm_sq(m)), and each column's height, its largest |F_m|.  _solve, the
-package's one solve (transfer.straighten_pair uses it on the products with at
+package's one solve (transfer._straighten_pair uses it on the products with at
 most two factors, expand_in_gbasis on all of E), lifts the solution q-adically
 and reads it back modulo q^k after steps k = 1, 2, 4, ..., until the heights
 bound every residual below q^k.  expansion_matrix gives E densely, for the tests.

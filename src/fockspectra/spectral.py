@@ -115,18 +115,25 @@ def _t_matrix_entries(d: int, ell: int, basis: str) -> tuple[tuple[tuple[int, in
     labels = basis_labels(d, ell, basis)
     images = map(_t_monomial, labels) if basis == "monomial" else straighten_combinations([*map(_t_structural, labels)])
     index = {label: i for i, label in enumerate(labels)}
-    return tuple(tuple(sorted((index[r], c) for r, c in image.items() if c)) for image in images)
+    return tuple(tuple(sorted((index[r], c) for r, c in image.items())) for image in images)
+
+
+def _dense_rows(columns: tuple[tuple[tuple[int, int], ...], ...], entry) -> list[list]:
+    """The sparse int columns of _t_matrix_entries as dense rows: entry(c) at
+    each nonzero c and one shared entry(0) everywhere else."""
+    zero = entry(0)
+    rows = [[zero] * len(columns) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, c in column:
+            rows[i][j] = entry(c)
+    return rows
 
 
 def t_matrix(d: int, ell: int, basis: str = "gbasis") -> ExactMatrix:
     """Matrix of T on the (d, ell) component; column j holds the coordinates
     of T applied to the j-th basis element."""
     _require_component(d, ell)
-    columns = _t_matrix_entries(d, ell, basis)
-    rows = [[Fraction(0)] * len(columns) for _ in columns]
-    for j, column in enumerate(columns):
-        for i, c in column:
-            rows[i][j] = Fraction(c)
+    rows = _dense_rows(_t_matrix_entries(d, ell, basis), Fraction)
     labels = basis_labels(d, ell, basis)
     return ExactMatrix(entries=tuple(map(tuple, rows)), row_labels=labels, col_labels=labels)
 
@@ -267,9 +274,5 @@ def char_poly_check(d: int, ell: int) -> bool:
     with the product of (x - lambda) over the formula eigenvalues of the
     basis; neither side goes through the product-basis matrix."""
     _require_component(d, ell)
-    columns = _t_matrix_entries(d, ell, "monomial")
-    rows = [[0] * len(columns) for _ in columns]
-    for j, column in enumerate(columns):
-        for i, c in column:
-            rows[i][j] = c
+    rows = _dense_rows(_t_matrix_entries(d, ell, "monomial"), lambda c: c)
     return linalg.char_poly(rows) == linalg.poly_from_roots([sequence_eigenvalue(p) for p in s_basis(d, ell)])

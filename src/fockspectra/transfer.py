@@ -6,19 +6,20 @@ in two realizations, each counting every distinct term once and summing T's
 own integer coefficients through poly.collect: on a monomial, each unordered
 pair of variables and each unordered split of their sum; on a product of
 generators g(d, l) in closed form, each ordered pair of factor kinds, building
-only the terms whose generators are nonzero, each put straight into canonical
-order.  Also the straightening of irregular pairs into regular ones by
-genfun's one solve, of combinations of products into the basis of admissible
-products in one sweep, in ints where the pair coefficients are ints
-(straighten_pair returns them as Fractions), and the alternating product
-identity that cross-checks straightening, both on genfun's scaled expansions.
+only the terms whose generators are nonzero, each placed in canonical order by
+genfun.sorted_product, as every product built here is.  Also the straightening
+of irregular pairs into regular ones by genfun's one solve, of combinations of
+products into the basis of admissible products in one sweep, in ints where the
+pair coefficients are ints (straighten_pair returns them as Fractions), and the
+alternating product identity that cross-checks straightening, both on genfun's
+scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -83,36 +84,22 @@ def apply_t_structural(factors: Iterable[GIndex]) -> GCombination:
 def _t_structural(factors: Iterable[GIndex]) -> dict[GProduct, int]:
     """T of a product of nonzero factors, in any order, as {canonical product: int}.
     Each ordered pair of factor kinds (s, t) acts once, weighted by the number
-    of positions i < j holding s then t in the order given, and each term gets
-    its new factors by bisection into the canonical rest of the product."""
-    work = tuple(factors)
-    canon = sorted_product(work)
-    big = 1 + sum(ell for _, ell in work)  # above every length: ell - big * d sorts as pair_sort_key
-    keys = [ell - big * d for d, ell in canon]
-    terms = [(canon, sum((ell - 1) * (2 * d - ell) // 2 for d, ell in work))]
+    of positions i < j holding s then t in the order given, on the rest of the
+    product (one s and one t removed), and sorted_product places each term."""
+    work = list(factors)
+    terms = [(sorted_product(work), sum((ell - 1) * (2 * d - ell) // 2 for d, ell in work))]
     append = terms.append
-    for (i, j), count in Counter(combinations([canon.index(f) for f in work], 2)).items():  # kinds by first place
-        (di, li), (dj, lj) = canon[i], canon[j]
-        i, j = (i, i + 1) if i == j else (i, j) if i < j else (j, i)
-        rest, rest_keys = canon[:i] + canon[i + 1 : j] + canon[j + 1 :], keys[:i] + keys[i + 1 : j] + keys[j + 1 :]
+    for ((di, li), (dj, lj)), count in Counter(combinations(work, 2)).items():  # kinds by first place
+        rest = work.copy()
+        rest.remove((di, li))
+        rest.remove((dj, lj))
         down, up = -lj * (lj + 1) * count, li * (li + 1) * count
         for p in range(dj - lj if li > 1 else 0):
-            a, b = (di + p, li - 1), (dj - p, lj + 1)
-            ka, kb = li - 1 - big * (di + p), lj + 1 - big * (dj - p)
-            if kb < ka:
-                a, b, ka, kb = b, a, kb, ka
-            x, y = bisect(rest_keys, ka), bisect(rest_keys, kb)
-            append((rest[:x] + (a,) + rest[x:y] + (b,) + rest[y:], down))
+            append((sorted_product([*rest, (di + p, li - 1), (dj - p, lj + 1)]), down))
         for p in range(1, dj - lj + 2 if lj > 1 else 1):
-            a, b = (di + p, li + 1), (dj - p, lj - 1)
-            ka, kb = li + 1 - big * (di + p), lj - 1 - big * (dj - p)
-            if kb < ka:
-                a, b, ka, kb = b, a, kb, ka
-            x, y = bisect(rest_keys, ka), bisect(rest_keys, kb)
-            append((rest[:x] + (a,) + rest[x:y] + (b,) + rest[y:], up))
+            append((sorted_product([*rest, (di + p, li + 1), (dj - p, lj - 1)]), up))
         if lj == 1:  # p = d_j merges the pair into the one factor (d_i + d_j, l_i + 1)
-            x = bisect(rest_keys, li + 1 - big * (di + dj))
-            append((rest[:x] + ((di + dj, li + 1),) + rest[x:], up))
+            append((sorted_product([*rest, (di + dj, li + 1)]), up))
     return collect(terms)
 
 
@@ -176,7 +163,7 @@ def straighten_combinations(combinations: list[dict[GProduct, int]]) -> list[dic
         if pair not in solved:
             solved[pair] = _straighten_pair(d1, l1, d2, l2)
         for result, c in solved[pair].items():
-            q = sorted_product(head + result + tail) if head or tail else result  # a pair's results are canonical
+            q = sorted_product(head + result + tail)
             target = rows.get(q)
             if target is None:  # new, or taken already: only an earlier one is surely taken after all that reach it
                 if product_sort_key(q) >= key:
@@ -184,7 +171,7 @@ def straighten_combinations(combinations: list[dict[GProduct, int]]) -> list[dic
                 target = rows[q] = {}
                 insort(pending, (product_sort_key(q), q))
             for k, ck in row.items():
-                target[k] = target[k] + c * ck if k in target else c * ck
+                target[k] = target.get(k, 0) + c * ck
     return out
 
 

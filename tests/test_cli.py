@@ -361,14 +361,16 @@ def test_verify_canonicalises_each_product_once(monkeypatch, cold_caches):
         monkeypatch.setattr(genfun, name, wrapper)
         monkeypatch.setattr(transfer, name, wrapper)
     assert all(c["status"] == "pass" for c in cli._verify_checks(8))
-    # one sort per product taken in: the terms of T are built canonical by bisection (1898
-    # sorts when each term was sorted, 3356 when the structural check canonicalised each term
-    # again before reading the store).  Factors are validated only at the public edge: the
-    # closed form takes the products of s_basis and spanning_products, nonzero already, as
-    # they are; the 118 validations left are expand_combination's, for g(d, l) in the dominant
-    # check and the alternating identity's combinations (525 when the closed form validated
-    # its input too, 2305 when each term of T was validated again)
-    assert calls == {"sorted_product": 525, "nonzero_factors": 118}
+    # one sort per product that transfer builds: each product taken in, each term of T and
+    # each product the straightening sweep places, sorted_product the one rule for all of them
+    # (525 when the terms of T were built canonical by bisection, 3356 when the structural
+    # check canonicalised each term again before reading the store).  Factors are validated
+    # only at the public edge: the closed form takes the products of s_basis and
+    # spanning_products, nonzero already, as they are; the 118 validations left are
+    # expand_combination's, for g(d, l) in the dominant check and the alternating identity's
+    # combinations (525 when the closed form validated its input too, 2305 when each term of
+    # T was validated again)
+    assert calls == {"sorted_product": 1319, "nonzero_factors": 118}
 
 
 def test_verify_applies_t_to_each_monomial_once(monkeypatch, cold_caches):
