@@ -14,18 +14,22 @@ F_m = c_m * mono_norm_sq(m); a generator is its one-factor product, a longer
 one (up to 64 factors) its stored prefix times its last generator, and g_poly
 returns a fresh Fraction polynomial, not the stored object.  Column j of the
 expansion matrix E holds the monomial coefficients of the j-th basis product.
-_expansion_lu keeps, per component and bound on the factor count, one sparse
-LU (linalg.lu_factor) modulo a prime q of the columns of E whose products have
-at most that many factors, built from their scaled terms (row m scaled by
-mono_norm_sq(m)), and each column's height, its largest |F_m|.  _solve, the
-package's one solve (transfer._straighten_pair uses it on the products with at
-most two factors, expand_in_gbasis on all of E), lifts the solution q-adically
-and reads it back modulo q^k after steps k = 1, 2, 4, ..., until the heights
-bound every residual below q^k.  expansion_matrix gives E densely, for the tests.
+Every change of basis is a straightening: straighten_combinations rewrites
+combinations of products into the basis in one sweep, solving each distinct
+irregular pair once (_straighten_pair) against the basis products of its
+component with at most two factors, and expand_in_gbasis straightens each
+monomial as a product of the generators x_k = g(k, 1).  _expansion_lu keeps,
+per component, one sparse LU (linalg.lu_factor) modulo a prime q of their
+scaled columns of E (row m scaled by mono_norm_sq(m)) and each column's
+height, its largest |F_m|.  _solve, the package's one solve, lifts the
+solution q-adically and reads it back modulo q^k after steps k = 1, 2, 4, ...,
+until the heights bound every residual below q^k.  expansion_matrix gives E
+densely, for the tests.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
@@ -34,7 +38,7 @@ from typing import Iterable
 
 from . import linalg
 from .errors import ConsistencyError, SingularMatrixError
-from .partitions import admissible_sequences, pair_sort_key, product_sort_key
+from .partitions import admissible_sequences, is_regular_pair, pair_sort_key, product_sort_key
 from .poly import Polynomial, bidegree, collect, combination_str, mono_norm_sq, monomial_basis
 
 GIndex = tuple[int, int]
@@ -164,12 +168,12 @@ def expansion_matrix(d: int, ell: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)  # read by every later solve on the component
-def _expansion_lu(d: int, ell: int, max_factors: int) -> tuple[tuple, int, linalg.LUFactors, tuple]:
-    """The basis products of (d, ell) with at most max_factors factors, the
+def _expansion_lu(d: int, ell: int) -> tuple[tuple, int, linalg.LUFactors, tuple]:
+    """The basis products of (d, ell) with at most two factors, the
     first prime q of linalg.LU_PRIMES modulo which their scaled columns of E
     are independent (ConsistencyError if none), their sparse LU modulo q and
     each column's height max_m |F_m|, the one part of the columns kept."""
-    products = tuple(p for p in admissible_sequences(d, ell) if len(p) <= max_factors)
+    products = tuple(p for p in admissible_sequences(d, ell) if len(p) <= 2)
 
     def columns(heights):
         for p in products:
@@ -201,8 +205,8 @@ def _read_back(v: int, q: int, n: int):
     return Fraction(r1, t1) if abs(t1) <= n and gcd(t1, q) == 1 else None
 
 
-def _solve(d: int, ell: int, max_factors: int, b: dict) -> tuple[tuple[GProduct, ...], list]:
-    """The basis products of (d, ell) with at most max_factors factors and
+def _solve(d: int, ell: int, b: dict) -> tuple[tuple[GProduct, ...], list]:
+    """The basis products of (d, ell) with at most two factors and
     the coordinates x on them of b, a vector in scaled coordinates
     {monomial: int}: ints where x_j is one, Fractions elsewhere.
 
@@ -215,7 +219,7 @@ def _solve(d: int, ell: int, max_factors: int, b: dict) -> tuple[tuple[GProduct,
     A b outside the span over Q is outside it q-adically: some step's residual
     check fails, ValueError.  Only a second step recomputes E's columns.
     """
-    products, q, factors, heights = _expansion_lu(d, ell, max_factors)
+    products, q, factors, heights = _expansion_lu(d, ell)
     top, rest, x, modulus, columns = max(map(abs, b.values()), default=0), b, [0] * len(products), 1, None
     for k in count(1):
         step = linalg.lu_solve(factors, rest.items(), q)
@@ -233,23 +237,75 @@ def _solve(d: int, ell: int, max_factors: int, b: dict) -> tuple[tuple[GProduct,
         rest = {m: v // q for m, v in collect(chain(rest.items(), terms)).items()}
 
 
+def _straighten_pair(d1: int, l1: int, d2: int, l2: int) -> dict[GProduct, int]:
+    """transfer.straighten_pair for two nonzero factors, in ints where the coefficients are ints."""
+    if is_regular_pair(d1, l1, d2, l2):
+        return {((d1, l1), (d2, l2)): 1}
+    pair = _expand_canonical.__wrapped__(((d1, l1), (d2, l2)))  # scaled, as the LU's columns
+    try:
+        products, coords = _solve(d1 + d2, l1 + l2, pair)
+    except ValueError as e:
+        raise ConsistencyError(
+            f"straightening g({d1},{l1})g({d2},{l2}) needs products of more than two factors"
+        ) from e
+    return {product: c for product, c in zip(products, coords) if c}
+
+
+def straighten_combinations(combinations: list[dict[GProduct, int]]) -> list[dict[GProduct, int]]:
+    """Coordinates of each combination of canonical products in the basis of
+    admissible products, in one sweep that takes the latest pending product in
+    basis order.  An admissible product is final; any other has its first
+    irregular adjacent pair straightened (each distinct pair solved once per
+    call) and passes its row, times each pair coefficient, to the canonical
+    products that result, each required to sort strictly before it (else ConsistencyError)."""
+    out: list[dict[GProduct, int]] = [{} for _ in combinations]
+    rows: dict[GProduct, dict[int, int]] = {}  # product not yet taken: {combination index: coefficient}
+    for k, comb in enumerate(combinations):
+        for q, c in comb.items():
+            rows.setdefault(q, {})[k] = c
+    pending = sorted((product_sort_key(q), q) for q in rows)
+    solved: dict[GProduct, dict[GProduct, int]] = {}
+    while pending:
+        key, product = pending.pop()
+        row = rows.pop(product)
+        for i in range(len(product) - 1):
+            (d1, l1), (d2, l2) = product[i], product[i + 1]
+            if not is_regular_pair(d1, l1, d2, l2):
+                break
+        else:
+            for k, c in row.items():
+                if c:
+                    out[k][product] = c
+            continue
+        head, pair, tail = product[:i], product[i : i + 2], product[i + 2 :]
+        if pair not in solved:
+            solved[pair] = _straighten_pair(d1, l1, d2, l2)
+        for result, c in solved[pair].items():
+            q = sorted_product(head + result + tail)
+            target = rows.get(q)
+            if target is None:  # new, or taken already: only an earlier one is surely taken after all that reach it
+                if product_sort_key(q) >= key:
+                    raise ConsistencyError(f"straightening {product} reached {q}, which does not precede it")
+                target = rows[q] = {}
+                insort(pending, (product_sort_key(q), q))
+            for k, ck in row.items():
+                target[k] = target.get(k, 0) + c * ck
+    return out
+
+
 def expand_in_gbasis(f: Polynomial, d: int, ell: int) -> tuple[Fraction, ...]:
     """Exact coordinates of f in the ordered basis of generator products.
 
     f must be bihomogeneous of bidegree (d, ell); the zero polynomial is
-    accepted and yields the zero vector.  No basis product has more than ell
-    factors, so _solve works on the whole of E, once the lcm L of the
-    denominators of f's scaled coefficients has cleared them.
+    accepted and yields the zero vector.  A monomial x_1^a_1 x_2^a_2 ... is the
+    product of a_k copies of g(k, 1) = x_k, so f is one combination of products.
     """
     for m in f.monomials():
         if bidegree(m) != (d, ell):
-            raise ValueError(
-                f"term {m} has bidegree {tuple(bidegree(m))}, expected ({d}, {ell})"
-            )
-    scaled = {m: c * mono_norm_sq(m) for m, c in f._terms.items()}  # the rows of the scaled columns
-    den = lcm(*(c.denominator for c in scaled.values()))
-    b = {m: c.numerator * (den // c.denominator) for m, c in scaled.items()}
-    return tuple(Fraction(c, den) for c in _solve(d, ell, ell, b)[1])
+            raise ValueError(f"term {m} has bidegree {tuple(bidegree(m))}, expected ({d}, {ell})")
+    comb = {sorted_product((k, 1) for k, a in m for _ in range(a)): c for m, c in f._terms.items()}
+    out, = straighten_combinations([comb])
+    return tuple(Fraction(out.get(p, 0)) for p in admissible_sequences(d, ell))
 
 
 def gproduct_str(product: GProduct) -> str:

@@ -9,7 +9,7 @@ are held in T's own integer coefficients, in sparse columns, and wrapped as
 Fractions only at the public edge.  The product-basis one is built without
 expanding products into monomials: the closed forms of T on the basis
 products, straightened into the basis together
-(transfer.straighten_combinations), whose only linear solves are those of the
+(genfun.straighten_combinations), whose only linear solves are those of the
 distinct irregular pairs, on the products with at most two factors of each
 pair's component.  Eigenvalues are computed from the index
 sequences by
@@ -35,10 +35,10 @@ from typing import NamedTuple, Optional, Union
 
 from . import linalg
 from .errors import ConsistencyError
-from .genfun import GProduct, expand_combination
+from .genfun import GProduct, expand_combination, straighten_combinations
 from .partitions import admissible_sequences
 from .poly import Monomial, Polynomial, mono_norm_sq, monomial_basis
-from .transfer import _t_monomial, _t_structural, straighten_combinations
+from .transfer import _t_monomial, _t_structural
 
 BasisLabel = Union[Monomial, GProduct]
 

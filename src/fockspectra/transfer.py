@@ -7,19 +7,16 @@ own integer coefficients through poly.collect: on a monomial, each unordered
 pair of variables and each unordered split of their sum; on a product of
 generators g(d, l) in closed form, each ordered pair of factor kinds, building
 only the terms whose generators are nonzero, each placed in canonical order by
-genfun.sorted_product, as every product built here is.  Also the straightening
-of irregular pairs into regular ones by genfun's one solve, of combinations of
-products into the basis of admissible products in one sweep, in ints where the
-pair coefficients are ints (straighten_pair returns them as Fractions), and the
-alternating product identity that cross-checks straightening, both on genfun's
-scaled expansions.
+genfun.sorted_product, as every product built here is.  Also straighten_pair,
+which validates a pair and returns genfun's straightening of it as Fractions,
+and the alternating product identity that cross-checks straightening, on
+genfun's scaled expansions.
 
 A pair g(d1, l1) g(d2, l2) is regular when d1 > d2 + l1, irregular otherwise.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -27,9 +24,7 @@ from math import prod
 from typing import Iterable
 
 from . import genfun
-from .errors import ConsistencyError
 from .genfun import GCombination, GIndex, GProduct, g_value_is_zero, nonzero_factors, sorted_product
-from .partitions import is_regular_pair, product_sort_key
 from .poly import Monomial, Polynomial, collect
 
 
@@ -116,63 +111,7 @@ def straighten_pair(d1: int, l1: int, d2: int, l2: int) -> GCombination:
     """
     if len(nonzero_factors(((d1, l1), (d2, l2)))) < 2:  # a zero factor raises
         raise ValueError("factor g(0,0) is not a nonzero generator")
-    return {product: Fraction(c) for product, c in _straighten_pair(d1, l1, d2, l2).items()}
-
-
-def _straighten_pair(d1: int, l1: int, d2: int, l2: int) -> dict[GProduct, int]:
-    """straighten_pair for two nonzero factors, in ints where the coefficients are ints."""
-    if is_regular_pair(d1, l1, d2, l2):
-        return {((d1, l1), (d2, l2)): 1}
-    pair = genfun._expand_canonical.__wrapped__(((d1, l1), (d2, l2)))  # scaled, as the LU's columns
-    try:
-        products, coords = genfun._solve(d1 + d2, l1 + l2, 2, pair)
-    except ValueError as e:
-        raise ConsistencyError(
-            f"straightening g({d1},{l1})g({d2},{l2}) needs products of more than two factors"
-        ) from e
-    return {product: c for product, c in zip(products, coords) if c}
-
-
-def straighten_combinations(combinations: list[dict[GProduct, int]]) -> list[dict[GProduct, int]]:
-    """Coordinates of each combination of canonical products in the basis of
-    admissible products, in one sweep that takes the latest pending product in
-    basis order.  An admissible product is final; any other has its first
-    irregular adjacent pair straightened (each distinct pair solved once per
-    call) and passes its row, times each pair coefficient, to the canonical
-    products that result, each required to sort strictly before it (else ConsistencyError)."""
-    out: list[dict[GProduct, int]] = [{} for _ in combinations]
-    rows: dict[GProduct, dict[int, int]] = {}  # product not yet taken: {combination index: coefficient}
-    for k, comb in enumerate(combinations):
-        for q, c in comb.items():
-            rows.setdefault(q, {})[k] = c
-    pending = sorted((product_sort_key(q), q) for q in rows)
-    solved: dict[GProduct, dict[GProduct, int]] = {}
-    while pending:
-        key, product = pending.pop()
-        row = rows.pop(product)
-        for i in range(len(product) - 1):
-            (d1, l1), (d2, l2) = product[i], product[i + 1]
-            if not is_regular_pair(d1, l1, d2, l2):
-                break
-        else:
-            for k, c in row.items():
-                if c:
-                    out[k][product] = c
-            continue
-        head, pair, tail = product[:i], product[i : i + 2], product[i + 2 :]
-        if pair not in solved:
-            solved[pair] = _straighten_pair(d1, l1, d2, l2)
-        for result, c in solved[pair].items():
-            q = sorted_product(head + result + tail)
-            target = rows.get(q)
-            if target is None:  # new, or taken already: only an earlier one is surely taken after all that reach it
-                if product_sort_key(q) >= key:
-                    raise ConsistencyError(f"straightening {product} reached {q}, which does not precede it")
-                target = rows[q] = {}
-                insort(pending, (product_sort_key(q), q))
-            for k, ck in row.items():
-                target[k] = target.get(k, 0) + c * ck
-    return out
+    return {product: Fraction(c) for product, c in genfun._straighten_pair(d1, l1, d2, l2).items()}
 
 
 def alternating_identity_residual(n: int, m: int, p: int, lp: int) -> Polynomial:

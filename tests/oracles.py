@@ -9,7 +9,7 @@ Hessenberg reduction for characteristic polynomials, Newton's recurrence
 for the complete symmetric functions, a Fraction fold of Polynomial products
 for the scaled integer store of expanded products, the dense inverse of the
 expansion matrix, in Fractions, for the change of basis (where the package
-solves modulo primes), and through it the monomial route for the
+straightens), and through it the monomial route for the
 product-basis matrix of T and a solve against the whole expansion matrix
 for the straightening of a pair, a dense null space per eigenvalue for its
 eigenvectors, successive projections for their Gram-Schmidt

@@ -199,7 +199,8 @@ def test_expansion_round_trip(data):
 
 
 def test_expansion_reconstruction_is_exact():
-    for d in range(1, 9):
+    # every monomial is a product of the generators x_k = g(k, 1), straightened into the basis
+    for d in range(1, 13):
         for ell in range(1, d + 1):
             for m in monomial_basis(d, ell):
                 f = Polynomial({m: 1})
@@ -272,7 +273,8 @@ def test_read_back_refuses_a_denominator_sharing_a_factor_with_the_modulus():
 
 
 def test_lifting_reads_back_coordinates_past_every_prime_of_the_table(monkeypatch, cold_caches):
-    # the coordinates 2^30001 need a modulus above 2^60003: 1024 steps on the one
+    # b = {x2^2: 2^30001} is 2^30000 x2^2 = 2^30001 (g(4,2) - g(3,1)g(1,1)) in scaled
+    # coordinates (mono_norm_sq(x2^2) = 2): its coordinates need a modulus above 2^60003, 1024 steps on the one
     # LU modulo 2^61 - 1, read back only after steps 1, 2, 4, ..., 1024
     steps, reads, real_solve, real_read_back = [], [], linalg.lu_solve, genfun._read_back
 
@@ -286,7 +288,7 @@ def test_lifting_reads_back_coordinates_past_every_prime_of_the_table(monkeypatc
 
     monkeypatch.setattr(linalg, "lu_solve", lu_solve)
     monkeypatch.setattr(genfun, "_read_back", read_back)
-    assert expand_in_gbasis(x(2) ** 2 * 2**30000, 4, 2) == (2**30001, -(2**30001))
+    assert genfun._solve(4, 2, {((2, 2),): 2**30001})[1] == [2**30001, -(2**30001)]
     assert genfun._expansion_lu.cache_info().currsize == 1
     assert steps == [2**61 - 1] * 1024
     # two coordinates read back at most once per power of two up to the step count

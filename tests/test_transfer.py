@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb as binomial
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +25,9 @@ from fockspectra import (
 )
 from fockspectra import genfun, linalg, spectral, transfer
 from fockspectra.errors import ConsistencyError
-from fockspectra.genfun import canonical_product, expand_combination
+from fockspectra.genfun import canonical_product, expand_combination, straighten_combinations
 from fockspectra.partitions import pair_sort_key
 from fockspectra.poly import collect
-from fockspectra.transfer import straighten_combinations
 
 import oracles
 
@@ -249,7 +249,7 @@ def test_a_candidate_off_by_the_prime_fails_the_bound_and_falls_back(monkeypatch
     assert straighten_pair(d1, l1, d2, l2) == expected
     assert len(solves) > 1 and all(q == 3 for q, _ in solves)
     candidate = [genfun._read_back(v, 3, 1) for v in solves[0][1]]
-    products, q, _, heights = genfun._expansion_lu(d1 + d2, l1 + l2, 2)
+    products, q, _, heights = genfun._expansion_lu(d1 + d2, l1 + l2)
     pair = genfun._expand_canonical(((d1, l1), (d2, l2)))
     residual = dict(pair)
     for p, c in zip(products, candidate):
@@ -257,6 +257,21 @@ def test_a_candidate_off_by_the_prime_fails_the_bound_and_falls_back(monkeypatch
             residual[m] = residual.get(m, 0) - c * f
     assert q == 3 and not any(r % 3 for r in residual.values()) and any(residual.values())
     assert sum(abs(c) * h for c, h in zip(candidate, heights)) + max(map(abs, pair.values())) >= 3
+
+
+def test_a_pair_coefficient_past_the_first_read_back_bound_is_lifted(monkeypatch, cold_caches):
+    # g(17,17)^2 = C(34,17) g(34,34), and C(34,17) = 2 333 606 220 exceeds the read-back
+    # bound 2^30 - 1 modulo 2^61 - 1: the answer is read back after the second step
+    steps, real_solve = [], linalg.lu_solve
+
+    def lu_solve(factors, b, modulus):
+        steps.append(modulus)
+        return real_solve(factors, b, modulus)
+
+    monkeypatch.setattr(linalg, "lu_solve", lu_solve)
+    assert binomial(34, 17) > 2**30 - 1
+    assert straighten_pair(17, 17, 17, 17) == {((34, 34),): binomial(34, 17)}
+    assert steps == [2**61 - 1] * 2
 
 
 @pytest.mark.parametrize("prime", [2**13 - 1, 3])
@@ -284,14 +299,14 @@ def test_columns_singular_modulo_a_prime_are_solved_modulo_the_next(monkeypatch,
     # dependent modulo 2, independent over Q, where g(3,1)g(1,1) = g(4,2) - g(2,1)^2 / 2
     monkeypatch.setattr(linalg, "LU_PRIMES", (2, 2**61 - 1))
     monkeypatch.setattr(genfun, "admissible_sequences", lambda d, ell: (((4, 2),), ((2, 1), (2, 1))))
-    assert genfun._expansion_lu(4, 2, 2)[1] == 2**61 - 1
+    assert genfun._expansion_lu(4, 2)[1] == 2**61 - 1
     b = genfun._expand_canonical(((3, 1), (1, 1)))
-    assert genfun._solve(4, 2, 2, b) == ((((4, 2),), ((2, 1), (2, 1))), [1, Fraction(-1, 2)])
+    assert genfun._solve(4, 2, b) == ((((4, 2),), ((2, 1), (2, 1))), [1, Fraction(-1, 2)])
     # singular modulo every prime of the table
     monkeypatch.setattr(linalg, "LU_PRIMES", (2,))
     genfun._expansion_lu.cache_clear()
     with pytest.raises(ConsistencyError, match="singular"):
-        genfun._solve(4, 2, 2, b)
+        genfun._solve(4, 2, b)
 
 
 def test_straighten_combinations_round_trip():
@@ -318,19 +333,19 @@ def test_a_pair_result_that_does_not_precede_its_product_is_refused(monkeypatch,
     def straighten_pair(d1, l1, d2, l2):
         return {((d1, l1), (d2, l2)) if mutant == "unchanged" else ((d2, l2), (d1, l1)): 1}
 
-    monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
+    monkeypatch.setattr(genfun, "_straighten_pair", straighten_pair)
     with pytest.raises(ConsistencyError, match="which does not precede it"):
         spectral.t_matrix(*component)
 
 
 def test_each_distinct_irregular_pair_is_solved_once_per_sweep(monkeypatch, cold_caches):
-    solved, real = [], transfer._straighten_pair
+    solved, real = [], genfun._straighten_pair
 
     def straighten_pair(*pair):
         solved.append(pair)
         return real(*pair)
 
-    monkeypatch.setattr(transfer, "_straighten_pair", straighten_pair)
+    monkeypatch.setattr(genfun, "_straighten_pair", straighten_pair)
     for d, ell in [(12, 4), (18, 6)]:
         solved.clear()
         combinations = [transfer._t_structural(p) for p in s_basis(d, ell)]
